@@ -28,10 +28,11 @@ def _threads_cap() -> int:
     raw = os.environ.get("EPSAKIT_THREADS", "1")
     try:
         cap = int(raw)
-    except ValueError as err:
-        raise SystemExit(f"EPSAKIT_THREADS must be an integer, got {raw!r}") from err
+    except ValueError:
+        cap = 0
     if cap < 1:
-        raise SystemExit("EPSAKIT_THREADS must be >= 1")
+        print(f"error: EPSAKIT_THREADS must be an integer >= 1, got {raw!r}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     return cap
 
 

@@ -179,17 +179,28 @@ def _check_ops(s: _Suite) -> None:
     fd = ops.finite_difference_array(f_sm, z, EPSILON)
     s._record("softmax_over_scales.input", analytic, fd)
 
+    # narrowing strided conv: the weight-first strategy and its dilated dx
+    p3 = ops.Conv2dParams.init(8, 2, 5, stride=2, padding=2, groups=2, seed=rng)
+    x3 = _rand_tensor(rng, (2, 8, 7, 7))
+    s.check_input_grad("conv2d.narrow.s2.input", lambda t: ops.conv2d(t, p3), x3)
+    s.check_param_grad(
+        "conv2d.narrow.s2.weight",
+        lambda arr: ops.conv2d(x3, ops.Conv2dParams(8, 2, 5, 2, 2, 2, _wrap(arr))),
+        x3, p3.weight.data.copy(), "weight",
+    )
+
 
 def _check_psa(s: _Suite) -> None:
     rng = s.rng
     for tag, cfg, shape in [
         ("c8", PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2)), (1, 8, 4, 4)),
         ("c16", PsaConfig(16, 4, (3, 5, 7, 9), (1, 2, 4, 4)), (2, 16, 6, 6)),
+        ("c8s2", PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2), stride=2), (1, 8, 5, 5)),
     ]:
         params = PsaParams.init(cfg, rng)
         x = _rand_tensor(rng, shape)
         s.check_input_grad(f"psa.{tag}.input", lambda t, p=params: psa_with_grad(t, p), x)
-        if tag == "c8":
+        if tag != "c16":
             for key, get, put in [
                 ("branch0.weight",
                  lambda p: p.branch_convs[0].weight.data,

@@ -2,9 +2,24 @@
 
 Each differentiable operator returns a GradPair: the forward output plus a
 closure mapping an upstream gradient to (input gradient, parameter
-gradients). Convolutions run as grouped matmuls over an im2col buffer;
-backwards are hand-derived and validated against the central
+gradients). Backwards are hand-derived and validated against the central
 finite-difference oracle that also lives here.
+
+Convolutions pick one of two strategies in `_conv`, by one rule:
+
+- A conv that narrows the channels (kernel > 1 and fewer output than input
+  channels per group), such as every PSA branch conv (C -> C/4), runs
+  weight-first: one matmul against the k input rows each output row reads,
+  then k shifted adds on the narrow output. Its backward stays on the
+  narrow side: dx is an im2col conv over the output gradient, dW one
+  matmul. No buffer k*k times the input is built, and only the padded
+  input is kept for the backward.
+- Every other conv runs as grouped matmuls over an im2col buffer, with a
+  col2im backward.
+
+The rule reads only the per-group shape (kernel, input and output channels
+per group), never the group count. A grouped conv therefore takes the same
+strategy as its groups run one by one, and the two agree bitwise.
 """
 
 from __future__ import annotations
@@ -241,38 +256,109 @@ def _col2im(dcols: np.ndarray, in_hw: tuple[int, int], k: int, stride: int, padd
     return dxp
 
 
+def _conv(x: np.ndarray, w: np.ndarray, groups: int, stride: int, padding: int):
+    """Run the forward of the strategy the rule in the module docstring
+    picks; returns (out, vjp), where vjp maps dy to (dx, dw)."""
+    cout, cin_g, k, _ = w.shape
+    narrowing = k > 1 and cout // groups < cin_g
+    return (_conv_rows if narrowing else _conv_im2col)(x, w, groups, stride, padding)
+
+
+def _conv_im2col(x: np.ndarray, w: np.ndarray, g: int, s: int, pad: int):
+    """One grouped matmul over a k*k*input im2col buffer; col2im backward."""
+    n = x.shape[0]
+    cout, cin_g, k, _ = w.shape
+    cout_g = cout // g
+    cols, ho, wo = _im2col(x, k, s, pad)
+    loc = ho * wo
+    # (N, G, Cg*k*k, L) views for per-group matmuls
+    cols_g = cols.reshape(n, g, cin_g * k * k, loc)
+    w_g = w.reshape(g, cout_g, cin_g * k * k)
+    out = np.matmul(w_g[None], cols_g)  # (N, G, Og, L)
+    out = out.reshape(n, cout, ho, wo)
+    in_hw = x.shape[2:]
+
+    def vjp(d: np.ndarray):
+        dy_g = d.reshape(n, g, cout_g, loc)
+        dw = np.matmul(dy_g, cols_g.transpose(0, 1, 3, 2)).sum(axis=0)  # (G, Og, Cg*k*k)
+        dcols_g = np.matmul(w_g.transpose(0, 2, 1)[None], dy_g)  # (N, G, Cg*k*k, L)
+        dcols = dcols_g.reshape(n, g * cin_g, k, k, ho, wo)
+        return _col2im(dcols, in_hw, k, s, pad), dw.reshape(w.shape)
+
+    return out, vjp
+
+
+def _conv_rows(x: np.ndarray, w: np.ndarray, g: int, s: int, pad: int):
+    """Weight-first conv for convs that narrow the channels.
+
+    One matmul of the weight, with its k kernel columns as k*Og output
+    rows, against the k input rows each output row reads, stacked:
+    (G, k*Og, k*Cg) x (N, G, k*Cg, Ho*Wp). Then k shifted adds, on the
+    narrow output side, sum the kernel columns. The stack is k times the
+    input, not k*k, and lives only inside one call; the backward keeps
+    only the padded input.
+    """
+    n, cin, h, wd = x.shape
+    cout, cin_g, k, _ = w.shape
+    cout_g = cout // g
+    ho = conv_output_size(h, k, s, pad)
+    wo = conv_output_size(wd, k, s, pad)
+    wp = wd + 2 * pad
+    xp = np.zeros((n, g, cin_g, h + 2 * pad, wp))
+    xp.reshape(n, cin, h + 2 * pad, wp)[:, :, pad : pad + h, pad : pad + wd] = x
+
+    def row_stack() -> np.ndarray:
+        stack = np.empty((n, g, k, cin_g, ho, wp))
+        for i in range(k):
+            stack[:, :, i] = xp[:, :, :, i : i + s * ho : s]
+        return stack.reshape(n, g, k * cin_g, ho * wp)
+
+    # (G, O, C, i, j) -> (G, j*Og + o, i*Cg + c)
+    w_cols = w.reshape(g, cout_g, cin_g, k, k).transpose(0, 4, 1, 3, 2)
+    z = np.matmul(w_cols.reshape(g, k * cout_g, k * cin_g), row_stack())
+    z = z.reshape(n, g, k, cout_g, ho, wp)
+    out = z[:, :, 0, :, :, 0 : s * wo : s].copy()
+    for j in range(1, k):
+        out += z[:, :, j, :, :, j : j + s * wo : s]
+
+    def vjp(d: np.ndarray):
+        # dW is the adjoint of the forward: dy shifted to each kernel
+        # column, times the row stack.
+        shifted = np.zeros((n, g, k, cout_g, ho, wp))
+        for j in range(k):
+            shifted[:, :, j, :, :, j : j + s * wo : s] = d.reshape(n, g, cout_g, ho, wo)
+        shifted = shifted.reshape(n, g, k * cout_g, ho * wp)
+        dw = np.matmul(shifted, row_stack().transpose(0, 1, 3, 2)).sum(axis=0)
+        dw = dw.reshape(g, k, cout_g, k, cin_g).transpose(0, 2, 4, 3, 1).reshape(w.shape)
+        # dx is the forward conv of dy, zero-dilated by the stride and padded by
+        # k-1-pad, with the flipped, in/out-swapped weight. That conv widens,
+        # so the rule runs it as im2col over the narrow dy. A margin e keeps
+        # every dy row inside the buffer when pad > k-1.
+        e = max(0, pad - k + 1)
+        lo = k - 1 - pad + e
+        dyd = np.zeros((n, cout, h + k - 1 + 2 * e, wd + k - 1 + 2 * e))
+        dyd[:, :, lo : lo + s * ho : s, lo : lo + s * wo : s] = d
+        w_flip = w.reshape(g, cout_g, cin_g, k, k).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
+        dx, _ = _conv(dyd, w_flip.reshape(cin, cout_g, k, k), g, 1, 0)
+        return dx[:, :, e : e + h, e : e + wd], dw
+
+    return out.reshape(n, cout, ho, wo), vjp
+
+
 def conv2d(x: Tensor, p: Conv2dParams) -> GradPair:
     """Grouped direct convolution; backward yields input/weight/bias grads."""
     if x.c != p.in_channels:
         raise ValueError(f"input has {x.c} channels, expected {p.in_channels}")
-    n = x.n
-    k, s, pad, g = p.kernel, p.stride, p.padding, p.groups
-    cin_g = p.in_channels // g
-    cout_g = p.out_channels // g
-
-    cols, ho, wo = _im2col(x.data, k, s, pad)
-    loc = ho * wo
-    # (N, G, Cg*k*k, L) views for per-group matmuls
-    cols_g = cols.reshape(n, g, cin_g * k * k, loc)
-    w_g = p.weight.data.reshape(g, cout_g, cin_g * k * k)
-
-    out = np.matmul(w_g[None], cols_g)  # (N, G, Og, L)
-    out = out.reshape(n, p.out_channels, ho, wo)
+    out, vjp = _conv(x.data, p.weight.data, p.groups, p.stride, p.padding)
     if p.bias is not None:
         out = out + p.bias[None, :, None, None]
-
-    in_hw = (x.h, x.w)
+    out_shape = out.shape
 
     def backward(dy: Tensor):
         d = dy.data if isinstance(dy, Tensor) else np.asarray(dy, dtype=np.float64)
-        if d.shape != (n, p.out_channels, ho, wo):
-            raise ValueError(f"upstream gradient shape {d.shape} != {(n, p.out_channels, ho, wo)}")
-        dy_g = d.reshape(n, g, cout_g, loc)
-        dw = np.matmul(dy_g, cols_g.transpose(0, 1, 3, 2)).sum(axis=0)  # (G, Og, Cg*k*k)
-        dw = dw.reshape(p.out_channels, cin_g, k, k)
-        dcols_g = np.matmul(w_g.transpose(0, 2, 1)[None], dy_g)  # (N, G, Cg*k*k, L)
-        dcols = dcols_g.reshape(n, p.in_channels, k, k, ho, wo)
-        dx = _col2im(dcols, in_hw, k, s, pad)
+        if d.shape != out_shape:
+            raise ValueError(f"upstream gradient shape {d.shape} != {out_shape}")
+        dx, dw = vjp(d)
         grads: ParamGrads = {"weight": dw}
         if p.bias is not None:
             grads["bias"] = d.sum(axis=(0, 2, 3))
@@ -401,13 +487,16 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> GradPair:
 
     inv_std = 1.0 / np.sqrt(var + p.eps)
     xhat = (xd - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
+    # The backward must use the gamma this forward used, even if the
+    # parameter is replaced in between.
+    gamma = p.gamma[None, :, None, None]
+    out = gamma * xhat + p.beta[None, :, None, None]
 
     def backward(dy: Tensor):
         d = dy.data
         dgamma = (d * xhat).sum(axis=axes)
         dbeta = d.sum(axis=axes)
-        dxhat = d * p.gamma[None, :, None, None]
+        dxhat = d * gamma
         if training:
             # Batch statistics depend on x, so the Jacobian couples samples.
             sum_dxhat = dxhat.sum(axis=axes)

@@ -124,11 +124,6 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def from_array(arr: np.ndarray) -> Tensor:
-    """Wrap an existing 4-D array (copied, validated)."""
-    return Tensor(arr)
-
-
 def _wrap(arr: np.ndarray) -> Tensor:
     """Wrap a freshly computed array.
 

@@ -163,3 +163,11 @@ class TestThreadsEnv:
         monkeypatch.setenv("EPSAKIT_THREADS", "zero")
         with pytest.raises(SystemExit):
             main(["describe", "resnet50"])
+
+    @pytest.mark.parametrize("value", ["zero", "0", "-2"])
+    def test_invalid_threads_exit_usage(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("EPSAKIT_THREADS", value)
+        with pytest.raises(SystemExit) as err:
+            main(["describe", "resnet50"])
+        assert err.value.code == 2
+        assert "EPSAKIT_THREADS" in capsys.readouterr().err

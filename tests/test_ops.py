@@ -185,6 +185,17 @@ class TestBatchNorm:
         ops.batch_norm(x, p, training=True)
         assert np.all(p.running_mean != 0)
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_backward_uses_forward_gamma(self, rng, training):
+        p = BatchNormParams.init(3)
+        p.gamma[:] = rng.uniform(0.5, 1.5, 3)
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)))
+        dy = Tensor(rng.standard_normal(x.shape))
+        want = ops.batch_norm(x, p, training).backward(dy)[0].data
+        gp = ops.batch_norm(x, p, training)
+        p.gamma = p.gamma * 3.0
+        assert np.array_equal(gp.backward(dy)[0].data, want)
+
 
 class TestMaxPool:
     def test_constant_input(self):
@@ -212,3 +223,73 @@ class TestFiniteDifference:
         x = Tensor(np.random.default_rng(4).standard_normal((1, 2, 3, 3)))
         g = ops.finite_difference_gradient(lambda t: 0.5 * float((t.data ** 2).sum()), x)
         np.testing.assert_allclose(g.data, x.data, atol=1e-9)
+
+
+# (kernel, groups, in, out) of every PSA branch conv the builders make:
+# 32 -> 8 is the toy model's first stage, 64 -> 16 its second stage and
+# the canonical models' first stage.
+PSA_BRANCH_CONVS = [
+    (k, g, cin, cout)
+    for k, g in [(3, 1), (5, 4), (7, 8), (9, 8), (9, 16)]
+    for cin, cout in [(32, 8), (64, 16)]
+    if cout % g == 0
+]
+
+
+class TestNarrowingConv:
+    """The weight-first strategy that conv2d picks for convs narrowing the channels."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k,g,cin,cout", PSA_BRANCH_CONVS)
+    def test_matches_oracle_and_im2col(self, rng, k, g, cin, cout, stride):
+        pad = (k - 1) // 2
+        p = Conv2dParams.init(cin, cout, k, stride=stride, padding=pad, groups=g, seed=rng)
+        w = p.weight.data
+        x = rng.standard_normal((8, cin, 4, 5))
+        want = naive_conv2d(x, w, None, stride, pad, g)
+        for n in (1, 8):
+            out, vjp = ops._conv_rows(x[:n], w, g, stride, pad)
+            gp = ops.conv2d(Tensor(x[:n]), p)
+            assert np.array_equal(gp.output.data, out)
+            np.testing.assert_allclose(out, want[:n], rtol=0, atol=1e-12)
+
+            dy = rng.standard_normal(out.shape)
+            dx, dw = vjp(dy)
+            ref_dx, ref_dw = ops._conv_im2col(x[:n], w, g, stride, pad)[1](dy)
+            np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dw, ref_dw, rtol=0, atol=1e-12)
+            got_dx, grads = gp.backward(Tensor(dy))
+            assert np.array_equal(got_dx.data, dx) and np.array_equal(grads["weight"], dw)
+
+    def test_padding_wider_than_kernel(self, rng):
+        x = rng.standard_normal((2, 8, 5, 4))
+        w = rng.standard_normal((2, 8, 3, 3))
+        out, vjp = ops._conv_rows(x, w, 1, 2, 4)
+        np.testing.assert_allclose(out, naive_conv2d(x, w, None, 2, 4, 1), rtol=0, atol=1e-12)
+        dy = rng.standard_normal(out.shape)
+        for got, want in zip(vjp(dy), ops._conv_im2col(x, w, 1, 2, 4)[1](dy)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_grouped_equals_block_diagonal(self, rng):
+        """k9 g16, 64 -> 16 takes the weight-first path; forward and backward
+        still equal 16 independent convs on channel slices, exactly."""
+        g, cin, cout, k = 16, 64, 16, 9
+        p = Conv2dParams.init(cin, cout, k, padding=4, groups=g, seed=rng)
+        x = Tensor(rng.standard_normal((2, cin, 6, 6)))
+        whole = ops.conv2d(x, p)
+        dy = rng.standard_normal(whole.output.shape)
+        dx, grads = whole.backward(Tensor(dy))
+        cg, og = cin // g, cout // g
+        outs, dxs, dws = [], [], []
+        for i in range(g):
+            sub_w = Tensor(p.weight.data[i * og : (i + 1) * og].copy())
+            sub_p = Conv2dParams(cg, og, k, padding=4, groups=1, weight=sub_w)
+            sub_x = Tensor(x.data[:, i * cg : (i + 1) * cg].copy())
+            sub = ops.conv2d(sub_x, sub_p)
+            sub_dx, sub_grads = sub.backward(Tensor(dy[:, i * og : (i + 1) * og].copy()))
+            outs.append(sub.output.data)
+            dxs.append(sub_dx.data)
+            dws.append(sub_grads["weight"])
+        assert np.array_equal(whole.output.data, np.concatenate(outs, axis=1))
+        assert np.array_equal(dx.data, np.concatenate(dxs, axis=1))
+        assert np.array_equal(grads["weight"], np.concatenate(dws, axis=0))
