@@ -6,6 +6,7 @@ desk-scale training harness.
 """
 
 from .tensor import (
+    NonFiniteError,
     Shape,
     Tensor,
     add,

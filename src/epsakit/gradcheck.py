@@ -18,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
+from .defaults import GRADCHECK_EPSILON as EPSILON, GRADCHECK_TOLERANCE as TOLERANCE
 from .models import BlockSpec, build_block
 from .psa import PsaConfig, PsaParams, psa_with_grad
 from .tensor import Tensor, _wrap
 
 __all__ = ["CheckResult", "run_suite", "report_text", "TOLERANCE", "EPSILON", "SCOPES"]
 
-TOLERANCE = 1e-4
-EPSILON = 1e-5
 SCOPES = ("ops", "psa", "block")
 
 

@@ -1,30 +1,48 @@
 """Bottleneck blocks and declarative builders for the ResNet / SENet / EPSANet family.
 
-Networks are trees of small layer objects. Every layer implements:
+Networks are trees of `Layer` objects. Every layer implements
 
     apply(x, training) -> (y, vjp)   vjp(dy) -> (dx, {param_name: grad})
-    params() -> {param_name: ndarray}
-    complexity(in_shape) -> (out_shape, [LayerRow])
+
+and says what it is made of in one of two ways. A composite (`Bottleneck`,
+`Network`) lists its named `children()` in the order its forward runs
+them, and runs them with the one chain runner `_chain`. A leaf lists its
+parameter `slots()`: name -> (owner, attribute) of the array it reads
+(batch norm also lists its running statistics in `state_slots()`).
+Everything else derives from those lists, in `Layer`:
+
+    params()       {dotted name: array}, in forward order
+    set_param()    replace one parameter; the new value must keep its shape
+    state()        batch-norm running statistics (not trained)
+    decay_names()  the parameters L2 decay applies to: every `*.weight`;
+                   biases and batch-norm gamma/beta do not decay
+    complexity()   (out_shape, [LayerRow]), the shape threaded through the
+                   children; leaves add their own rows
 
 Parameter names are dotted paths, unique within a network. Parameter
 updates rebind arrays (they never mutate tensors in place), so an
 eval-mode forward is safe to run concurrently.
+
+PSA is a drop-in for the bottleneck's 3x3 conv: `Bottleneck` differs
+between ResNet and EPSANet only in the layer it puts at `conv2`. SENet's
+SE layer runs the same SE op (`psa._se_weight_grad`) as PSA, without biases.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import ops
 from .ops import BatchNormParams, Conv2dParams, LinearParams, _rng, conv_output_size
-from .psa import PsaConfig, PsaParams, psa_with_grad
+from .psa import PsaConfig, PsaParams, SeWeightParams, _se_weight_grad, psa_with_grad
 from .tensor import Tensor, _wrap
 
 __all__ = [
+    "Layer",
     "LayerRow",
     "BlockSpec",
     "StageSpec",
@@ -60,104 +78,144 @@ def _prefix(rows: list[LayerRow], name: str) -> list[LayerRow]:
     return [LayerRow(f"{name}.{r.name}" if r.name else name, r.params, r.flops, r.output_shape) for r in rows]
 
 
-def _prefix_grads(grads: dict[str, np.ndarray], name: str) -> dict[str, np.ndarray]:
-    return {f"{name}.{k}": v for k, v in grads.items()}
+def _ledger(layers, shape) -> tuple[tuple, list[LayerRow]]:
+    """Thread a shape through (name, layer) pairs; collect their named rows."""
+    rows = []
+    for name, layer in layers:
+        shape, r = layer.complexity(shape)
+        rows += _prefix(r, name)
+    return shape, rows
 
 
-class Conv:
+def _chain(layers, x: Tensor, training: bool):
+    """Run (name, layer) pairs in order; the vjp names each gradient by its layer."""
+    vjps = []
+    for name, layer in layers:
+        x, vjp = layer.apply(x, training)
+        vjps.append((name, vjp))
+
+    def vjp(dy):
+        grads: dict[str, np.ndarray] = {}
+        for name, v in reversed(vjps):
+            dy, g = v(dy)
+            grads.update({f"{name}.{k}": a for k, a in g.items()})
+        return dy, grads
+
+    return x, vjp
+
+
+def _weight_bias(p, prefix: str = "") -> dict:
+    """Slots of a conv or linear parameter set: its weight, and its bias if any."""
+    out = {f"{prefix}weight": (p, "weight")}
+    if p.bias is not None:
+        out[f"{prefix}bias"] = (p, "bias")
+    return out
+
+
+class Layer:
+    """Base of every layer; see the module docstring for the protocol."""
+
+    def children(self) -> list[tuple[str, "Layer"]]:
+        return []
+
+    def slots(self) -> dict[str, tuple[object, str]]:
+        """A leaf's own parameters: name -> (owner, attribute)."""
+        return {}
+
+    def state_slots(self) -> dict[str, tuple[object, str]]:
+        """A leaf's own running state, in the same form."""
+        return {}
+
+    def _walk(self, state: bool = False, prefix: str = ""):
+        """Yield (dotted name, array) for every slot in this subtree."""
+        own = self.state_slots() if state else self.slots()
+        for name, (owner, attr) in own.items():
+            yield prefix + name, getattr(owner, attr)
+        for name, child in self.children():
+            yield from child._walk(state, f"{prefix}{name}.")
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {name: v.data if isinstance(v, Tensor) else v for name, v in self._walk()}
+
+    def state(self) -> dict[str, np.ndarray]:
+        """Live running statistics; loading a checkpoint writes into them."""
+        return dict(self._walk(state=True))
+
+    def decay_names(self) -> set[str]:
+        return {name for name, _ in self._walk() if name.rsplit(".", 1)[-1] == "weight"}
+
+    def set_param(self, name: str, value: np.ndarray) -> None:
+        """Rebind one parameter to a copy of value, which must keep its shape."""
+        for cname, child in self.children():
+            if name.startswith(cname + "."):
+                return child.set_param(name[len(cname) + 1:], value)
+        owner, attr = self.slots()[name]
+        old = getattr(owner, attr)
+        value = np.array(value, dtype=np.float64)
+        if value.shape != old.shape:
+            raise ValueError(f"{name}: shape {value.shape} != {old.shape}")
+        setattr(owner, attr, _wrap(value) if isinstance(old, Tensor) else value)
+
+    def complexity(self, in_shape) -> tuple[tuple, list[LayerRow]]:
+        return _ledger(self.children(), in_shape)
+
+
+def _conv_row(p: Conv2dParams, in_shape) -> tuple[tuple, LayerRow]:
+    n, _, h, w = in_shape
+    ho = conv_output_size(h, p.kernel, p.stride, p.padding)
+    wo = conv_output_size(w, p.kernel, p.stride, p.padding)
+    out_shape = (n, p.out_channels, ho, wo)
+    macs = n * p.out_channels * ho * wo * (p.in_channels // p.groups) * p.kernel * p.kernel
+    return out_shape, LayerRow("", p.param_count, macs, out_shape)
+
+
+class Conv(Layer):
     def __init__(self, in_c, out_c, kernel, stride=1, padding=0, groups=1, bias=False, rng=None):
         self.p = Conv2dParams.init(in_c, out_c, kernel, stride, padding, groups, bias, _rng(rng or 0))
 
+    def slots(self):
+        return _weight_bias(self.p)
+
     def apply(self, x: Tensor, training: bool):
         gp = ops.conv2d(x, self.p)
-
-        def vjp(dy):
-            dx, g = gp.backward(dy)
-            return dx, g
-
-        return gp.output, vjp
-
-    def params(self):
-        out = {"weight": self.p.weight.data}
-        if self.p.bias is not None:
-            out["bias"] = self.p.bias
-        return out
-
-    def set_param(self, name, value):
-        if name == "weight":
-            self.p.weight = _wrap(np.array(value, dtype=np.float64))
-        elif name == "bias" and self.p.bias is not None:
-            self.p.bias = np.array(value, dtype=np.float64)
-        else:
-            raise KeyError(name)
-
-    def decay_names(self):
-        return {"weight"}
+        return gp.output, gp.backward
 
     def complexity(self, in_shape):
-        n, c, h, w = in_shape
-        ho = conv_output_size(h, self.p.kernel, self.p.stride, self.p.padding)
-        wo = conv_output_size(w, self.p.kernel, self.p.stride, self.p.padding)
-        out_shape = (n, self.p.out_channels, ho, wo)
-        macs = (
-            n * self.p.out_channels * ho * wo
-            * (self.p.in_channels // self.p.groups)
-            * self.p.kernel * self.p.kernel
-        )
-        return out_shape, [LayerRow("", self.p.param_count, macs, out_shape)]
+        out_shape, row = _conv_row(self.p, in_shape)
+        return out_shape, [row]
 
 
-class BatchNorm:
+class BatchNorm(Layer):
     def __init__(self, channels):
         self.p = BatchNormParams.init(channels)
+
+    def slots(self):
+        return {n: (self.p, n) for n in ("gamma", "beta")}
+
+    def state_slots(self):
+        return {n: (self.p, n) for n in ("running_mean", "running_var")}
 
     def apply(self, x: Tensor, training: bool):
         gp = ops.batch_norm(x, self.p, training)
         return gp.output, gp.backward
 
-    def params(self):
-        return {"gamma": self.p.gamma, "beta": self.p.beta}
-
-    def set_param(self, name, value):
-        if name not in ("gamma", "beta"):
-            raise KeyError(name)
-        setattr(self.p, name, np.array(value, dtype=np.float64))
-
-    def decay_names(self):
-        return set()
-
-    def state(self):
-        return {"running_mean": self.p.running_mean, "running_var": self.p.running_var}
-
-    def set_state(self, name, value):
-        getattr(self.p, name)[:] = value
-
     def complexity(self, in_shape):
         return in_shape, [LayerRow("", self.p.param_count, 0, in_shape)]
 
 
-class ReLU:
+class ReLU(Layer):
     def apply(self, x: Tensor, training: bool):
         gp = ops.relu(x)
-        return gp.output, lambda dy: gp.backward(dy)
-
-    def params(self):
-        return {}
-
-    def complexity(self, in_shape):
-        return in_shape, []
+        return gp.output, gp.backward
 
 
-class MaxPool:
+class MaxPool(Layer):
     def __init__(self, kernel=3, stride=2, padding=1):
         self.kernel, self.stride, self.padding = kernel, stride, padding
 
     def apply(self, x: Tensor, training: bool):
         gp = ops.max_pool(x, self.kernel, self.stride, self.padding)
-        return gp.output, lambda dy: gp.backward(dy)
-
-    def params(self):
-        return {}
+        return gp.output, gp.backward
 
     def complexity(self, in_shape):
         n, c, h, w = in_shape
@@ -167,18 +225,14 @@ class MaxPool:
         return out_shape, [LayerRow("", 0, 0, out_shape)]
 
 
-class GlobalAvgPool:
+class GlobalAvgPool(Layer):
     def apply(self, x: Tensor, training: bool):
         in_shape = x.shape
-        y = ops.global_avg_pool(x)
 
         def vjp(dy):
             return _wrap(ops._global_avg_pool_vjp(in_shape, dy.data)), {}
 
-        return y, vjp
-
-    def params(self):
-        return {}
+        return ops.global_avg_pool(x), vjp
 
     def complexity(self, in_shape):
         n, c, _, _ = in_shape
@@ -186,30 +240,18 @@ class GlobalAvgPool:
         return out_shape, [LayerRow("", 0, 0, out_shape)]
 
 
-class Linear:
+class Linear(Layer):
+    """Affine head on a (N, C, 1, 1) tensor; its vjp also takes a (N, out) array."""
+
     def __init__(self, in_f, out_f, bias=True, rng=None):
         self.p = LinearParams.init(in_f, out_f, bias, _rng(rng or 0))
 
-    def apply(self, x, training: bool):
+    def slots(self):
+        return _weight_bias(self.p)
+
+    def apply(self, x: Tensor, training: bool):
         gp = ops.linear(x, self.p)
         return gp.output, gp.backward
-
-    def params(self):
-        out = {"weight": self.p.weight}
-        if self.p.bias is not None:
-            out["bias"] = self.p.bias
-        return out
-
-    def set_param(self, name, value):
-        if name == "weight":
-            self.p.weight = np.array(value, dtype=np.float64)
-        elif name == "bias" and self.p.bias is not None:
-            self.p.bias = np.array(value, dtype=np.float64)
-        else:
-            raise KeyError(name)
-
-    def decay_names(self):
-        return {"weight"}
 
     def complexity(self, in_shape):
         n = in_shape[0]
@@ -217,117 +259,57 @@ class Linear:
         return out_shape, [LayerRow("", self.p.param_count, n * self.p.in_features * self.p.out_features, out_shape)]
 
 
-class SeScale:
-    """Squeeze-excitation recalibration of a feature map (bias-free FCs)."""
+class SeScale(Layer):
+    """Squeeze-excitation recalibration x * se_weight(x), with bias-free FCs."""
 
     def __init__(self, channels, reduction=16, rng=None):
-        rng = _rng(rng or 0)
-        hidden = max(channels // reduction, 1)
-        self.fc0 = LinearParams.init(channels, hidden, bias=False, seed=rng)
-        self.fc1 = LinearParams.init(hidden, channels, bias=False, seed=rng)
-        self.channels = channels
+        self.se = SeWeightParams.init(channels, reduction, _rng(rng or 0), bias=False)
+
+    def slots(self):
+        return {**_weight_bias(self.se.fc0, "fc0."), **_weight_bias(self.se.fc1, "fc1.")}
 
     def apply(self, x: Tensor, training: bool):
-        in_shape = x.shape
-        pooled = ops.global_avg_pool(x)
-        gp0 = ops.linear(pooled, self.fc0)
-        gpr = ops.relu(gp0.output)
-        gp1 = ops.linear(gpr.output, self.fc1)
-        gps = ops.sigmoid(gp1.output)
-        w = gps.output
-        y = _wrap(x.data * w.data)
+        gp = _se_weight_grad(x, self.se)
+        w = gp.output.data
 
         def vjp(dy):
-            dx_direct = dy.data * w.data
-            dw = (dy.data * x.data).sum(axis=(2, 3), keepdims=True)
-            d, _ = gps.backward(_wrap(dw))
-            d, g1 = gp1.backward(d)
-            d, _ = gpr.backward(d)
-            d, g0 = gp0.backward(d)
-            dx_se = ops._global_avg_pool_vjp(in_shape, d.data)
-            grads = {"fc0.weight": g0["weight"], "fc1.weight": g1["weight"]}
-            return _wrap(dx_direct + dx_se), grads
+            dx_se, grads = gp.backward(_wrap((dy.data * x.data).sum(axis=(2, 3), keepdims=True)))
+            return _wrap(dy.data * w + dx_se.data), grads
 
-        return y, vjp
-
-    def params(self):
-        return {"fc0.weight": self.fc0.weight, "fc1.weight": self.fc1.weight}
-
-    def set_param(self, name, value):
-        fc = {"fc0.weight": self.fc0, "fc1.weight": self.fc1}[name]
-        fc.weight = np.array(value, dtype=np.float64)
-
-    def decay_names(self):
-        return {"fc0.weight", "fc1.weight"}
+        return _wrap(x.data * w), vjp
 
     def complexity(self, in_shape):
-        n = in_shape[0]
-        hidden = self.fc0.out_features
-        macs = n * (self.channels * hidden + hidden * self.channels)
-        return in_shape, [LayerRow("", self.fc0.param_count + self.fc1.param_count, macs, in_shape)]
+        n, c = in_shape[:2]
+        macs = n * 2 * c * self.se.fc0.out_features
+        return in_shape, [LayerRow("", self.se.param_count, macs, in_shape)]
 
 
-class Psa:
+class Psa(Layer):
     """PSA module as a layer; parameter names follow the PsaParams layout."""
 
     def __init__(self, config: PsaConfig, rng=None):
         self.p = PsaParams.init(config, _rng(rng or 0))
 
+    def slots(self):
+        out = {}
+        for i, c in enumerate(self.p.branch_convs):
+            out.update(_weight_bias(c, f"branch{i}."))
+        return {**out, **_weight_bias(self.p.se.fc0, "se.fc0."), **_weight_bias(self.p.se.fc1, "se.fc1.")}
+
     def apply(self, x: Tensor, training: bool):
         gp = psa_with_grad(x, self.p)
         return gp.output, gp.backward
 
-    def params(self):
-        out = {}
-        for i, c in enumerate(self.p.branch_convs):
-            out[f"branch{i}.weight"] = c.weight.data
-        out["se.fc0.weight"] = self.p.se.fc0.weight
-        out["se.fc0.bias"] = self.p.se.fc0.bias
-        out["se.fc1.weight"] = self.p.se.fc1.weight
-        out["se.fc1.bias"] = self.p.se.fc1.bias
-        return out
-
-    def set_param(self, name, value):
-        value = np.array(value, dtype=np.float64)
-        if name.startswith("branch"):
-            idx = int(name.split(".")[0][len("branch"):])
-            self.p.branch_convs[idx].weight = _wrap(value)
-        elif name == "se.fc0.weight":
-            self.p.se.fc0.weight = value
-        elif name == "se.fc0.bias":
-            self.p.se.fc0.bias = value
-        elif name == "se.fc1.weight":
-            self.p.se.fc1.weight = value
-        elif name == "se.fc1.bias":
-            self.p.se.fc1.bias = value
-        else:
-            raise KeyError(name)
-
-    def decay_names(self):
-        names = {f"branch{i}.weight" for i in range(len(self.p.branch_convs))}
-        names |= {"se.fc0.weight", "se.fc1.weight"}
-        return names
-
     def complexity(self, in_shape):
-        n, c, h, w = in_shape
         cfg = self.p.config
         rows = []
-        out_shape = None
         for i, conv in enumerate(self.p.branch_convs):
-            ho = conv_output_size(h, conv.kernel, conv.stride, conv.padding)
-            wo = conv_output_size(w, conv.kernel, conv.stride, conv.padding)
-            bshape = (n, cfg.branch_channels, ho, wo)
-            macs = (
-                n * cfg.branch_channels * ho * wo
-                * (cfg.channels // conv.groups) * conv.kernel * conv.kernel
-            )
-            rows.append(LayerRow(f"branch{i}", conv.param_count, macs, bshape))
-            out_shape = (n, cfg.channels, ho, wo)
-        hidden = self.p.se.fc0.out_features
+            (n, _, ho, wo), row = _conv_row(conv, in_shape)
+            rows.append(LayerRow(f"branch{i}", row.params, row.flops, row.output_shape))
         cp = cfg.branch_channels
-        se_macs = n * cfg.scales * (cp * hidden + hidden * cp)
+        se_macs = n * cfg.scales * 2 * cp * self.p.se.fc0.out_features
         rows.append(LayerRow("se", self.p.se.param_count, se_macs, (n, cp, 1, 1)))
-        return out_shape, rows
+        return (n, cfg.channels, ho, wo), rows
 
 
 @dataclass(frozen=True)
@@ -365,14 +347,17 @@ class ModelSpec:
     stem_channels: int = 64
 
 
-class Bottleneck:
-    """Residual bottleneck; the middle op is a 3x3 conv or a PSA module."""
+class Bottleneck(Layer):
+    """Residual bottleneck; the middle op is a 3x3 conv or a PSA module.
+
+    `body` is the residual branch, `shortcut` the projection (empty for an
+    identity shortcut); both read the block input.
+    """
 
     def __init__(self, spec: BlockSpec, in_channels: int, stride: int, rng):
         mid, out = spec.mid_channels, spec.out_channels
         self.spec = spec
         self.conv1 = Conv(in_channels, mid, 1, rng=rng)
-        self.bn1 = BatchNorm(mid)
         if spec.kind == "epsa":
             cfg = spec.psa
             if cfg.channels != mid:
@@ -382,235 +367,79 @@ class Bottleneck:
             self.conv2 = Psa(cfg, rng)
         else:
             self.conv2 = Conv(mid, mid, 3, stride=stride, padding=1, rng=rng)
-        self.bn2 = BatchNorm(mid)
         self.conv3 = Conv(mid, out, 1, rng=rng)
-        self.bn3 = BatchNorm(out)
-        self.se = SeScale(out, spec.se_reduction, rng) if spec.kind == "se" else None
+        self.relu = ReLU()
+        self.body = [
+            ("conv1", self.conv1), ("bn1", BatchNorm(mid)), ("relu", self.relu),
+            ("conv2", self.conv2), ("bn2", BatchNorm(mid)), ("relu", self.relu),
+            ("conv3", self.conv3), ("bn3", BatchNorm(out)),
+        ]
+        if spec.kind == "se":
+            self.body.append(("se", SeScale(out, spec.se_reduction, rng)))
+        self.shortcut = []
         if stride != 1 or in_channels != out:
-            self.down_conv = Conv(in_channels, out, 1, stride=stride, rng=rng)
-            self.down_bn = BatchNorm(out)
-        else:
-            self.down_conv = None
-            self.down_bn = None
+            self.shortcut = [
+                ("downsample.conv", Conv(in_channels, out, 1, stride=stride, rng=rng)),
+                ("downsample.bn", BatchNorm(out)),
+            ]
 
     def children(self):
-        out = [("conv1", self.conv1), ("bn1", self.bn1), ("conv2", self.conv2), ("bn2", self.bn2),
-               ("conv3", self.conv3), ("bn3", self.bn3)]
-        if self.se is not None:
-            out.append(("se", self.se))
-        if self.down_conv is not None:
-            out.append(("downsample.conv", self.down_conv))
-            out.append(("downsample.bn", self.down_bn))
-        return out
+        return self.body + self.shortcut
 
     def apply(self, x: Tensor, training: bool):
-        steps = []
-
-        def run(layer, name, h):
-            y, v = layer.apply(h, training)
-            steps.append((name, v))
-            return y
-
-        h = run(self.conv1, "conv1", x)
-        h = run(self.bn1, "bn1", h)
-        h = run(ReLU(), None, h)
-        h = run(self.conv2, "conv2", h)
-        h = run(self.bn2, "bn2", h)
-        h = run(ReLU(), None, h)
-        h = run(self.conv3, "conv3", h)
-        h = run(self.bn3, "bn3", h)
-        if self.se is not None:
-            h = run(self.se, "se", h)
-
-        if self.down_conv is not None:
-            s, v_dc = self.down_conv.apply(x, training)
-            s, v_db = self.down_bn.apply(s, training)
-        else:
-            s = x
-            v_dc = v_db = None
-
-        pre = _wrap(h.data + s.data)
-        out_gp = ops.relu(pre)
+        h, body_vjp = _chain(self.body, x, training)
+        s, shortcut_vjp = _chain(self.shortcut, x, training)
+        y, relu_vjp = self.relu.apply(_wrap(h.data + s.data), training)
 
         def vjp(dy):
-            dpre, _ = out_gp.backward(dy)
-            grads: dict[str, np.ndarray] = {}
-            d = dpre
-            for name, v in reversed(steps):
-                d, g = v(d)
-                if name:
-                    grads.update(_prefix_grads(g, name))
-            if v_db is not None:
-                ds, g = v_db(dpre)
-                grads.update(_prefix_grads(g, "downsample.bn"))
-                ds, g = v_dc(ds)
-                grads.update(_prefix_grads(g, "downsample.conv"))
-                dx = _wrap(d.data + ds.data)
-            else:
-                dx = _wrap(d.data + dpre.data)
-            return dx, grads
+            dpre, _ = relu_vjp(dy)
+            dh, grads = body_vjp(dpre)
+            ds, g = shortcut_vjp(dpre)
+            grads.update(g)
+            return _wrap(dh.data + ds.data), grads
 
-        return out_gp.output, vjp
-
-    def params(self):
-        out = {}
-        for name, child in self.children():
-            for k, v in child.params().items():
-                out[f"{name}.{k}"] = v
-        return out
-
-    def set_param(self, name, value):
-        for cname, child in self.children():
-            if name.startswith(cname + "."):
-                child.set_param(name[len(cname) + 1:], value)
-                return
-        raise KeyError(name)
-
-    def decay_names(self):
-        out = set()
-        for name, child in self.children():
-            for k in getattr(child, "decay_names", set)():
-                out.add(f"{name}.{k}")
-        return out
-
-    def bn_layers(self):
-        for name, child in self.children():
-            if isinstance(child, BatchNorm):
-                yield name, child
+        return y, vjp
 
     def complexity(self, in_shape):
-        rows = []
-        shape = in_shape
-        for name, layer in [("conv1", self.conv1), ("bn1", self.bn1), ("conv2", self.conv2),
-                            ("bn2", self.bn2), ("conv3", self.conv3), ("bn3", self.bn3)]:
-            shape, r = layer.complexity(shape)
-            rows += _prefix(r, name)
-        if self.se is not None:
-            shape, r = self.se.complexity(shape)
-            rows += _prefix(r, "se")
-        if self.down_conv is not None:
-            dshape, r = self.down_conv.complexity(in_shape)
-            rows += _prefix(r, "downsample.conv")
-            dshape, r = self.down_bn.complexity(dshape)
-            rows += _prefix(r, "downsample.bn")
-        return shape, rows
+        shape, rows = _ledger(self.body, in_shape)
+        return shape, rows + _ledger(self.shortcut, in_shape)[1]
 
 
-class Network:
+class Network(Layer):
     """Stem + stages + classifier head, built from a ModelSpec."""
 
     def __init__(self, spec: ModelSpec, seed: int = 0):
         rng = _rng(seed)
         self.spec = spec
-        self.stem_conv = Conv(3, spec.stem_channels, 7, stride=2, padding=3, rng=rng)
-        self.stem_bn = BatchNorm(spec.stem_channels)
-        self.maxpool = MaxPool(3, 2, 1)
-        self.stages: list[list[Bottleneck]] = []
+        self.layers = [
+            ("stem.conv", Conv(3, spec.stem_channels, 7, stride=2, padding=3, rng=rng)),
+            ("stem.bn", BatchNorm(spec.stem_channels)),
+            ("relu", ReLU()),
+            ("maxpool", MaxPool(3, 2, 1)),
+        ]
         in_c = spec.stem_channels
-        for st in spec.stages:
-            blocks = []
+        for i, st in enumerate(spec.stages, start=1):
             for b in range(st.blocks):
                 stride = st.first_stride if b == 0 else 1
-                blocks.append(Bottleneck(st.block, in_c, stride, rng))
+                self.layers.append((f"layer{i}.{b}", Bottleneck(st.block, in_c, stride, rng)))
                 in_c = st.block.out_channels
-            self.stages.append(blocks)
-        self.gap = GlobalAvgPool()
-        self.fc = Linear(in_c, spec.num_classes, bias=True, rng=rng)
+        self.layers += [("gap", GlobalAvgPool()), ("fc", Linear(in_c, spec.num_classes, bias=True, rng=rng))]
 
-    def named_children(self):
-        yield "stem.conv", self.stem_conv
-        yield "stem.bn", self.stem_bn
-        for i, blocks in enumerate(self.stages, start=1):
-            for b, block in enumerate(blocks):
-                yield f"layer{i}.{b}", block
-        yield "fc", self.fc
+    def children(self):
+        return self.layers
 
     def apply(self, x: Tensor, training: bool = False):
         """Returns (logits, vjp); logits is a (N, num_classes) array."""
-        chain: list[tuple[str | None, Callable]] = []
-
-        def run2(layer, name, h):
-            y, v = layer.apply(h, training)
-            chain.append((name, v))
-            return y
-
-        h = run2(self.stem_conv, "stem.conv", x)
-        h = run2(self.stem_bn, "stem.bn", h)
-        h = run2(ReLU(), None, h)
-        h = run2(self.maxpool, None, h)
-        for i, blocks in enumerate(self.stages, start=1):
-            for b, block in enumerate(blocks):
-                h = run2(block, f"layer{i}.{b}", h)
-        h = run2(self.gap, None, h)
-        gp_fc = ops.linear(h.data.reshape(h.n, h.c), self.fc.p)
-        logits = gp_fc.output
-
-        def vjp(dlogits: np.ndarray):
-            grads: dict[str, np.ndarray] = {}
-            d, g = gp_fc.backward(np.asarray(dlogits, dtype=np.float64))
-            grads.update(_prefix_grads(g, "fc"))
-            d = _wrap(d.reshape(h.shape))
-            for name, v in reversed(chain):
-                d, g = v(d)
-                if name:
-                    grads.update(_prefix_grads(g, name))
-            return d, grads
-
-        return logits, vjp
+        y, vjp = _chain(self.layers, x, training)
+        return y.data.reshape(y.n, y.c), vjp
 
     def forward(self, x: Tensor, training: bool = False) -> np.ndarray:
         logits, _ = self.apply(x, training)
         return logits
 
-    def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, child in self.named_children():
-            for k, v in child.params().items():
-                out[f"{name}.{k}"] = v
-        return out
-
-    def set_param(self, name: str, value: np.ndarray) -> None:
-        for cname, child in self.named_children():
-            if name.startswith(cname + "."):
-                child.set_param(name[len(cname) + 1:], value)
-                return
-        raise KeyError(name)
-
-    def decay_names(self) -> set[str]:
-        out = set()
-        for name, child in self.named_children():
-            for k in getattr(child, "decay_names", set)():
-                out.add(f"{name}.{k}")
-        return out
-
-    def bn_state(self) -> dict[str, np.ndarray]:
-        out = {}
-        out["stem.bn.running_mean"] = self.stem_bn.p.running_mean
-        out["stem.bn.running_var"] = self.stem_bn.p.running_var
-        for i, blocks in enumerate(self.stages, start=1):
-            for b, block in enumerate(blocks):
-                for bn_name, bn in block.bn_layers():
-                    for k, v in bn.state().items():
-                        out[f"layer{i}.{b}.{bn_name}.{k}"] = v
-        return out
-
-    def complexity(self, input_shape) -> tuple[tuple, list[LayerRow]]:
-        rows = []
-        shape, r = self.stem_conv.complexity(input_shape)
-        rows += _prefix(r, "stem.conv")
-        shape, r = self.stem_bn.complexity(shape)
-        rows += _prefix(r, "stem.bn")
-        shape, r = self.maxpool.complexity(shape)
-        rows += _prefix(r, "maxpool")
-        for i, blocks in enumerate(self.stages, start=1):
-            for b, block in enumerate(blocks):
-                shape, r = block.complexity(shape)
-                rows += _prefix(r, f"layer{i}.{b}")
-        shape, r = self.gap.complexity(shape)
-        rows += _prefix(r, "gap")
-        shape, r = self.fc.complexity(shape)
-        rows += _prefix(r, "fc")
-        return shape, rows
+    # Defined on the class itself, so a profiler can wrap them here.
+    params = Layer.params
+    set_param = Layer.set_param
 
 
 @dataclass

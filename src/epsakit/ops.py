@@ -395,23 +395,27 @@ def linear(x: ArrayOrTensor, p: LinearParams) -> GradPair:
     if flat.shape[1] != p.in_features:
         raise ValueError(f"input features {flat.shape[1]} != {p.in_features}")
 
-    out = flat @ p.weight.T
-    if p.bias is not None:
+    # The backward must use the weight this forward used, even if the
+    # parameter is replaced in between.
+    weight, has_bias = p.weight, p.bias is not None
+    n, (out_f, in_f) = flat.shape[0], weight.shape
+    out = flat @ weight.T
+    if has_bias:
         out = out + p.bias
 
     def backward(dy: ArrayOrTensor):
         d = dy.data if isinstance(dy, Tensor) else np.asarray(dy, dtype=np.float64)
-        d2 = d.reshape(flat.shape[0], p.out_features)
-        dx = d2 @ p.weight
+        d2 = d.reshape(n, out_f)
+        dx = d2 @ weight
         grads: ParamGrads = {"weight": d2.T @ flat}
-        if p.bias is not None:
+        if has_bias:
             grads["bias"] = d2.sum(axis=0)
         if tensor_in:
-            return _wrap(dx.reshape(flat.shape[0], p.in_features, 1, 1)), grads
+            return _wrap(dx.reshape(n, in_f, 1, 1)), grads
         return dx, grads
 
     if tensor_in:
-        return GradPair(_wrap(out.reshape(flat.shape[0], p.out_features, 1, 1)), backward)
+        return GradPair(_wrap(out.reshape(n, out_f, 1, 1)), backward)
     return GradPair(out, backward)
 
 
@@ -535,27 +539,14 @@ def max_pool(x: Tensor, kernel: int = 3, stride: int = 2, padding: int = 1) -> G
 def finite_difference_gradient(
     f: Callable[[Tensor], float], x: Tensor, epsilon: float = 1e-5
 ) -> Tensor:
-    """Central-difference gradient of a scalar function, coordinate by coordinate."""
-    base = x.data.copy()
-    grad = np.zeros_like(base)
-    it = np.nditer(base, flags=["multi_index"])
-    while not it.finished:
-        ix = it.multi_index
-        orig = base[ix]
-        base[ix] = orig + epsilon
-        fp = f(Tensor(base))
-        base[ix] = orig - epsilon
-        fm = f(Tensor(base))
-        base[ix] = orig
-        grad[ix] = (fp - fm) / (2.0 * epsilon)
-        it.iternext()
-    return _wrap(grad)
+    """finite_difference_array for a function of a tensor."""
+    return _wrap(finite_difference_array(lambda a: f(Tensor(a)), x.data, epsilon))
 
 
 def finite_difference_array(
     f: Callable[[np.ndarray], float], a: np.ndarray, epsilon: float = 1e-5
 ) -> np.ndarray:
-    """Same oracle for a raw parameter array."""
+    """Central-difference gradient of a scalar function, coordinate by coordinate."""
     base = a.astype(np.float64).copy()
     grad = np.zeros_like(base)
     it = np.nditer(base, flags=["multi_index"])

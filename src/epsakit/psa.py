@@ -11,7 +11,7 @@ channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -148,20 +148,24 @@ class PsaConfig:
 
 @dataclass
 class SeWeightParams:
-    """Squeeze-excitation weighter: GAP -> fc0 -> ReLU -> fc1 -> sigmoid."""
+    """Squeeze-excitation weighter: GAP -> fc0 -> ReLU -> fc1 -> sigmoid.
+
+    PSA's FCs have biases; SENet's SE layer uses the same weighter without.
+    """
 
     fc0: LinearParams
     fc1: LinearParams
 
     @classmethod
     def init(
-        cls, channels: int, reduction: int = 16, seed: int | np.random.Generator = 0
+        cls, channels: int, reduction: int = 16, seed: int | np.random.Generator = 0,
+        bias: bool = True,
     ) -> "SeWeightParams":
         rng = _rng(seed)
         hidden = max(channels // reduction, 1)
         return cls(
-            fc0=LinearParams.init(channels, hidden, bias=True, seed=rng),
-            fc1=LinearParams.init(hidden, channels, bias=True, seed=rng),
+            fc0=LinearParams.init(channels, hidden, bias=bias, seed=rng),
+            fc1=LinearParams.init(hidden, channels, bias=bias, seed=rng),
         )
 
     @property
@@ -219,12 +223,8 @@ def _se_weight_grad(x: Tensor, p: SeWeightParams) -> GradPair:
         d, _ = gpr.backward(d)
         d, g0 = gp0.backward(d)
         dx = _wrap(_global_avg_pool_vjp(x.shape, d.data))
-        grads = {
-            "fc0.weight": g0["weight"],
-            "fc0.bias": g0["bias"],
-            "fc1.weight": g1["weight"],
-            "fc1.bias": g1["bias"],
-        }
+        grads = {f"fc0.{k}": v for k, v in g0.items()}
+        grads.update({f"fc1.{k}": v for k, v in g1.items()})
         return dx, grads
 
     return GradPair(gps.output, backward)

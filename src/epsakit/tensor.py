@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "Shape",
     "Tensor",
+    "NonFiniteError",
     "zeros",
     "random_uniform",
     "concat_channels",
@@ -62,6 +63,10 @@ def _as_shape(shape: Shape | Sequence[int]) -> Shape:
     return Shape(*(int(d) for d in shape))
 
 
+class NonFiniteError(ValueError):
+    """An array that must be finite holds NaN or Inf."""
+
+
 class Tensor:
     """Immutable 4-D float64 array in row-major (N, C, H, W) order."""
 
@@ -78,7 +83,7 @@ class Tensor:
             if min(arr.shape) <= 0:
                 raise ValueError(f"tensor dimensions must be positive, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
-                raise ValueError("tensor data contains NaN or Inf")
+                raise NonFiniteError("tensor data contains NaN or Inf")
         arr.setflags(write=False)
         self._data = arr
 
@@ -128,10 +133,10 @@ def _wrap(arr: np.ndarray) -> Tensor:
     """Wrap a freshly computed array.
 
     Still validates finiteness: the cheap check is what turns silent numeric
-    blow-ups (e.g. a diverging training run) into a catchable ValueError.
+    blow-ups (e.g. a diverging training run) into a catchable NonFiniteError.
     """
     if not np.all(np.isfinite(arr)):
-        raise ValueError("operation produced NaN or Inf")
+        raise NonFiniteError("operation produced NaN or Inf")
     return Tensor(None, _trusted=np.ascontiguousarray(arr, dtype=np.float64))
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import Model
-from .tensor import Tensor, _wrap, load_t4, save_t4
+from .tensor import NonFiniteError, Tensor, _wrap, load_t4, save_t4
 
 __all__ = [
     "TrainConfig",
@@ -216,12 +216,8 @@ def train(model: Model, dataset: ToyDataset, cfg: TrainConfig) -> TrainingHistor
                     if not np.isfinite(loss):
                         raise TrainingDiverged(f"non-finite loss at step {step}")
                     _, grads = vjp(dlogits)
-                except ValueError as err:
-                    if "NaN or Inf" in str(err):
-                        raise TrainingDiverged(
-                            f"non-finite values at step {step}: {err}"
-                        ) from err
-                    raise
+                except NonFiniteError as err:
+                    raise TrainingDiverged(f"non-finite values at step {step}: {err}") from err
                 params = model.net.params()
                 new_params, state = sgd_step(params, grads, state, cfg, lr=lr, no_decay=no_decay)
                 for name, value in new_params.items():
@@ -242,10 +238,8 @@ def train(model: Model, dataset: ToyDataset, cfg: TrainConfig) -> TrainingHistor
 
         try:
             final_loss, final_acc = evaluate(model, dataset, cfg.label_smoothing)
-        except ValueError as err:
-            if "NaN or Inf" in str(err):
-                raise TrainingDiverged(f"non-finite values at final evaluation: {err}") from err
-            raise
+        except NonFiniteError as err:
+            raise TrainingDiverged(f"non-finite values at final evaluation: {err}") from err
     initial_loss = history.steps[0]["loss"] if history.steps else float("nan")
     mean_losses = [e["mean_loss"] for e in history.epochs]
     history.summary = {
@@ -275,9 +269,7 @@ def save_params(model: Model, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {}
-    entries = dict(model.net.params())
-    entries.update(model.net.bn_state())
-    for name, value in entries.items():
+    for name, value in {**model.net.params(), **model.net.state()}.items():
         fname = name.replace(".", "__") + ".t4"
         save_t4(Tensor(value.reshape(_pad4(value.shape))), directory / fname)
         manifest[name] = {"file": fname, "shape": list(value.shape)}
@@ -285,15 +277,25 @@ def save_params(model: Model, directory: str | Path) -> None:
 
 
 def load_params(model: Model, directory: str | Path) -> None:
+    """Load a checkpoint written by save_params.
+
+    Raises KeyError when its entries differ from the model's parameters and
+    state, and ValueError on a wrong shape; either way before any write.
+    """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    params = model.net.params()
-    bn_state = model.net.bn_state()
+    state = model.net.state()
+    current = {**model.net.params(), **state}
+    missing, extra = sorted(current.keys() - manifest.keys()), sorted(manifest.keys() - current.keys())
+    if missing or extra:
+        raise KeyError(f"checkpoint does not match the model: missing {missing}, extra {extra}")
+    values = {}
     for name, meta in manifest.items():
-        value = load_t4(directory / meta["file"]).data.reshape(meta["shape"])
-        if name in params:
-            model.net.set_param(name, value)
-        elif name in bn_state:
-            bn_state[name][:] = value
+        values[name] = load_t4(directory / meta["file"]).data.reshape(meta["shape"])
+        if values[name].shape != current[name].shape:
+            raise ValueError(f"checkpoint entry {name!r}: shape {values[name].shape} != {current[name].shape}")
+    for name, value in values.items():
+        if name in state:
+            state[name][:] = value
         else:
-            raise KeyError(f"checkpoint entry {name!r} not present in model")
+            model.net.set_param(name, value)

@@ -229,3 +229,48 @@ class TestAblation:
             assert logits.shape == (1, 1000)
             assert np.all(np.isfinite(logits))
             del model
+
+
+class TestLayerProtocol:
+    def test_set_param_rejects_wrong_shape(self):
+        net = build_toy_epsanet(seed=0).net
+        with pytest.raises(ValueError):
+            net.set_param("stem.conv.weight", np.zeros((5, 3, 7, 7)))
+
+    @pytest.mark.parametrize("name", [
+        "layer1.0.conv2.branch0.bias",
+        "layer1.0.conv2.branch0.bogus",
+        "layer1.0.conv2.branch9.weight",
+        "layer1.0",
+        "nosuch.weight",
+    ])
+    def test_set_param_rejects_unknown_name(self, name):
+        net = build_toy_epsanet(seed=0).net
+        with pytest.raises(KeyError):
+            net.set_param(name, np.zeros(1))
+
+    def test_every_param_round_trips(self):
+        net = build_toy_epsanet(seed=0).net
+        for i, (name, value) in enumerate(net.params().items()):
+            new = value + (i + 1)
+            net.set_param(name, new)
+            assert np.array_equal(net.params()[name], new), name
+
+    @pytest.mark.parametrize("name, counts", [
+        ("resnet50", (161, 54, 106)),
+        ("senet50", (193, 86, 106)),
+        ("epsanet50_small", (273, 134, 106)),
+        ("toy", (43, 20, 18)),
+    ])
+    def test_params_decay_state_counts(self, name, counts):
+        if name == "toy":
+            net = build_toy_epsanet(widths=(32, 64), blocks=(1, 1), stem_channels=32).net
+        else:
+            net = build_model(name).net
+        assert (len(net.params()), len(net.decay_names()), len(net.state())) == counts
+
+    def test_decay_rule(self):
+        net = build_model("senet50").net
+        decay = net.decay_names()
+        for name in net.params():
+            assert (name in decay) == name.endswith(".weight"), name

@@ -116,6 +116,20 @@ class TestLinear:
         with pytest.raises(ValueError):
             ops.linear(np.zeros((2, 4)), p)
 
+    @pytest.mark.parametrize("tensor_in", [False, True])
+    def test_backward_uses_forward_weight(self, rng, tensor_in):
+        p = LinearParams.init(5, 3, bias=True, seed=rng)
+        v = rng.standard_normal((4, 5))
+        x = Tensor(v.reshape(4, 5, 1, 1)) if tensor_in else v
+        dy = rng.standard_normal((4, 3))
+        want = ops.linear(x, p).backward(dy)[0]
+        gp = ops.linear(x, p)
+        p.weight = p.weight * 3.0
+        got = gp.backward(dy)[0]
+        if tensor_in:
+            got, want = got.data, want.data
+        assert np.array_equal(got, want)
+
 
 class TestActivations:
     def test_relu_values(self):

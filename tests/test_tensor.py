@@ -46,6 +46,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Tensor(np.ones((2, 3)))
 
+    def test_non_finite_error_is_typed(self):
+        a = np.ones((1, 1, 2, 2))
+        a[0, 0, 1, 1] = np.inf
+        with pytest.raises(tc.NonFiniteError):
+            Tensor(a)
+        with pytest.raises(tc.NonFiniteError):
+            tc._wrap(a)
+        assert issubclass(tc.NonFiniteError, ValueError)
+
 
 class TestZeros:
     def test_single_element(self):

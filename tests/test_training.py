@@ -1,12 +1,16 @@
 """Loss, optimizer, schedule, toy data, and end-to-end training behavior."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsakit import defaults, models, training
+from epsakit import tensor as tc
 from epsakit.ops import finite_difference_array
+from epsakit.tensor import NonFiniteError, Tensor
 from epsakit.training import (
     ToyDataset,
     TrainConfig,
@@ -229,3 +233,48 @@ class TestCheckpoint:
         np.testing.assert_allclose(
             fresh.net.forward(ds.images, training=False), logits_before, atol=0
         )
+
+
+class TestCheckpointValidation:
+    @staticmethod
+    def _saved(tmp_path):
+        model, _, _ = tiny_setup()
+        save_params(model, tmp_path)
+        return model, json.loads((tmp_path / "manifest.json").read_text())
+
+    def test_missing_entry_rejected(self, tmp_path):
+        model, manifest = self._saved(tmp_path)
+        del manifest["fc.bias"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(KeyError, match="fc.bias"):
+            load_params(model, tmp_path)
+
+    def test_extra_entry_rejected(self, tmp_path):
+        model, manifest = self._saved(tmp_path)
+        manifest["fc.extra"] = manifest["fc.bias"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(KeyError, match="fc.extra"):
+            load_params(model, tmp_path)
+
+    def test_wrong_shape_rejected_before_any_write(self, tmp_path):
+        model, manifest = self._saved(tmp_path)
+        fresh = models.build_toy_epsanet(
+            num_classes=4, widths=(16, 32), blocks=(1, 1), stem_channels=16, seed=5
+        )
+        before = {k: v.copy() for k, v in fresh.net.params().items()}
+        w = np.zeros((3, 16, 7, 7))
+        tc.save_t4(Tensor(w), tmp_path / manifest["stem.conv.weight"]["file"])
+        manifest["stem.conv.weight"]["shape"] = list(w.shape)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError):
+            load_params(fresh, tmp_path)
+        for k, v in fresh.net.params().items():
+            assert np.array_equal(v, before[k]), k
+
+
+def test_divergence_caused_by_non_finite_error():
+    model, ds, _ = tiny_setup()
+    cfg = TrainConfig(lr=1e12, batch_size=8, epochs=3, seed=3)
+    with pytest.raises(TrainingDiverged) as info:
+        train(model, ds, cfg)
+    assert isinstance(info.value.__cause__, NonFiniteError)
