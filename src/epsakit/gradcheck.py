@@ -19,8 +19,8 @@ import numpy as np
 
 from . import ops
 from .defaults import GRADCHECK_EPSILON as EPSILON, GRADCHECK_TOLERANCE as TOLERANCE
-from .models import BlockSpec, build_block
-from .psa import PsaConfig, PsaParams, psa_with_grad
+from .models import BlockSpec, Psa, build_block
+from .psa import PsaConfig, psa_with_grad
 from .tensor import Tensor, _wrap
 
 __all__ = ["CheckResult", "run_suite", "report_text", "TOLERANCE", "EPSILON", "SCOPES"]
@@ -196,52 +196,35 @@ def _check_psa(s: _Suite) -> None:
         ("c16", PsaConfig(16, 4, (3, 5, 7, 9), (1, 2, 4, 4)), (2, 16, 6, 6)),
         ("c8s2", PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2), stride=2), (1, 8, 5, 5)),
     ]:
-        params = PsaParams.init(cfg, rng)
+        layer = Psa(cfg, rng)
         x = _rand_tensor(rng, shape)
-        s.check_input_grad(f"psa.{tag}.input", lambda t, p=params: psa_with_grad(t, p), x)
-        if tag != "c16":
-            for key, get, put in [
-                ("branch0.weight",
-                 lambda p: p.branch_convs[0].weight.data,
-                 lambda p, a: setattr(p.branch_convs[0], "weight", _wrap(a))),
-                ("branch3.weight",
-                 lambda p: p.branch_convs[3].weight.data,
-                 lambda p, a: setattr(p.branch_convs[3], "weight", _wrap(a))),
-                ("se.fc0.weight",
-                 lambda p: p.se.fc0.weight,
-                 lambda p, a: setattr(p.se.fc0, "weight", a)),
-                ("se.fc1.bias",
-                 lambda p: p.se.fc1.bias,
-                 lambda p, a: setattr(p.se.fc1, "bias", a)),
-            ]:
-                def rebuild(arr, params=params, put=put):
-                    put(params, np.asarray(arr, dtype=np.float64))
-                    return psa_with_grad(x, params)
+        s.check_input_grad(f"psa.{tag}.input", lambda t, p=layer.p: psa_with_grad(t, p), x)
+        if tag == "c16":
+            continue
+        for key in ("branch0.weight", "branch3.weight", "se.fc0.weight", "se.fc1.bias"):
+            original = layer.params()[key].copy()
 
-                s.check_param_grad(f"psa.{tag}.{key}", rebuild, x, get(params).copy(), key)
+            def rebuild(arr, layer=layer, key=key):
+                layer.set_param(key, arr)
+                return psa_with_grad(x, layer.p)
+
+            s.check_param_grad(f"psa.{tag}.{key}", rebuild, x, original, key)
+            layer.set_param(key, original)
 
 
 def _check_block(s: _Suite) -> None:
     rng = s.rng
     cfg = PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2))
     spec = BlockSpec(kind="epsa", mid_channels=8, out_channels=32, psa=cfg)
-    block = build_block(spec, in_channels=8, stride=1, seed=int(rng.integers(2**31)))
-    x = _rand_tensor(rng, (1, 8, 6, 6))
+    for stride, size in ((1, 6), (2, 4)):
+        block = build_block(spec, in_channels=8, stride=stride, seed=int(rng.integers(2**31)))
+        x = _rand_tensor(rng, (1, 8, size, size))
 
-    def op(t: Tensor):
-        y, vjp = block.apply(t, training=True)
-        return ops.GradPair(y, lambda dy: (vjp(dy)[0], {}))
+        def op(t: Tensor, block=block):
+            y, vjp = block.apply(t, training=True)
+            return ops.GradPair(y, lambda dy: (vjp(dy)[0], {}))
 
-    s.check_input_grad("epsa_block.s1.input", op, x)
-
-    block2 = build_block(spec, in_channels=8, stride=2, seed=int(rng.integers(2**31)))
-    x2 = _rand_tensor(rng, (1, 8, 4, 4))
-
-    def op2(t: Tensor):
-        y, vjp = block2.apply(t, training=True)
-        return ops.GradPair(y, lambda dy: (vjp(dy)[0], {}))
-
-    s.check_input_grad("epsa_block.s2.input", op2, x2)
+        s.check_input_grad(f"epsa_block.s{stride}.input", op, x)
 
 
 def run_suite(scope: str, seed: int = 0) -> list[CheckResult]:
