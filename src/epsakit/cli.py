@@ -11,6 +11,7 @@ executes sequentially, which satisfies any cap.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -91,24 +92,10 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_train_toy(args) -> int:
     ds = training.make_toy_dataset(**defaults.TOY_DATASET)
-    model = models.build_toy_epsanet(
-        num_classes=ds.num_classes,
-        widths=defaults.TOY_MODEL["widths"],
-        blocks=defaults.TOY_MODEL["blocks"],
-        stem_channels=defaults.TOY_MODEL["stem_channels"],
-        seed=defaults.TOY_MODEL["seed"],
-    )
-    base = defaults.TOY_TRAIN
-    cfg = training.TrainConfig(
-        lr=base.lr if args.lr is None else args.lr,
-        momentum=base.momentum if args.momentum is None else args.momentum,
-        weight_decay=base.weight_decay if args.weight_decay is None else args.weight_decay,
-        label_smoothing=base.label_smoothing,
-        lr_decay_every=base.lr_decay_every,
-        batch_size=base.batch_size if args.batch_size is None else args.batch_size,
-        epochs=base.epochs if args.epochs is None else args.epochs,
-        seed=base.seed if args.seed is None else args.seed,
-    )
+    model = models.build_toy_epsanet(num_classes=ds.num_classes, **defaults.TOY_MODEL)
+    flags = ("lr", "momentum", "weight_decay", "batch_size", "epochs", "seed")
+    overrides = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    cfg = dataclasses.replace(defaults.TOY_TRAIN, **overrides)
     try:
         history = training.train(model, ds, cfg)
     except training.TrainingDiverged as err:

@@ -330,6 +330,8 @@ class BlockSpec:
             raise ValueError("psa config must be present exactly when kind == 'epsa'")
         if self.stride not in (1, 2):
             raise ValueError(f"stride must be 1 or 2, got {self.stride}")
+        if min(self.mid_channels, self.out_channels, self.se_reduction) < 1:
+            raise ValueError("block channels and se_reduction must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -338,6 +340,10 @@ class StageSpec:
     first_stride: int
     block: BlockSpec
 
+    def __post_init__(self) -> None:
+        if self.blocks < 1:
+            raise ValueError(f"a stage needs >= 1 blocks, got {self.blocks}")
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -345,6 +351,10 @@ class ModelSpec:
     stages: tuple[StageSpec, ...]
     num_classes: int = 1000
     stem_channels: int = 64
+
+    def __post_init__(self) -> None:
+        if self.num_classes < 1 or self.stem_channels < 1:
+            raise ValueError("num_classes and stem_channels must be >= 1")
 
 
 class Bottleneck(Layer):
@@ -597,6 +607,8 @@ def spec_to_config(spec: ModelSpec) -> dict:
 
 
 def config_to_spec(cfg: dict) -> ModelSpec:
+    if not isinstance(cfg, dict) or not all(isinstance(st, dict) for st in cfg["stages"]):
+        raise ValueError("a model config and each of its stages must be JSON objects")
     stages = []
     for i, st in enumerate(cfg["stages"]):
         mid = int(st["mid_channels"])

@@ -10,10 +10,12 @@ Convolutions pick one of two strategies in `_conv`, by one rule:
 - A conv that narrows the channels (kernel > 1 and fewer output than input
   channels per group), such as every PSA branch conv (C -> C/4), runs
   weight-first: one matmul against the k input rows each output row reads,
-  then k shifted adds on the narrow output. Its backward stays on the
-  narrow side: dx is an im2col conv over the output gradient, dW one
-  matmul. No buffer k*k times the input is built, and only the padded
-  input is kept for the backward.
+  then k shifted adds on the narrow output. Its backward is the adjoint
+  of that forward: two matmuls against the output gradient shifted to
+  each kernel column, one with the row stack for dW, one with the
+  transposed weight for the row-stack gradient, whose k row slabs add
+  back into the input. No buffer k*k times the input is built, and only
+  the padded input is kept for the backward.
 - Every other conv runs as grouped matmuls over an im2col buffer, with a
   col2im backward.
 
@@ -86,8 +88,8 @@ class Conv2dParams:
     def __post_init__(self) -> None:
         if self.kernel <= 0 or self.kernel % 2 == 0:
             raise ValueError(f"kernel must be odd and positive, got {self.kernel}")
-        if self.stride <= 0 or self.padding < 0:
-            raise ValueError(f"bad stride/padding: {self.stride}/{self.padding}")
+        if self.stride <= 0 or self.padding < 0 or self.groups < 1:
+            raise ValueError(f"bad stride/padding/groups: {self.stride}/{self.padding}/{self.groups}")
         if self.in_channels % self.groups or self.out_channels % self.groups:
             raise ValueError(
                 f"channels ({self.in_channels}, {self.out_channels}) "
@@ -296,7 +298,7 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, g: int, s: int, pad: int):
     (G, k*Og, k*Cg) x (N, G, k*Cg, Ho*Wp). Then k shifted adds, on the
     narrow output side, sum the kernel columns. The stack is k times the
     input, not k*k, and lives only inside one call; the backward keeps
-    only the padded input.
+    only the padded input and is the adjoint of these steps.
     """
     n, cin, h, wd = x.shape
     cout, cin_g, k, _ = w.shape
@@ -330,17 +332,15 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, g: int, s: int, pad: int):
         shifted = shifted.reshape(n, g, k * cout_g, ho * wp)
         dw = np.matmul(shifted, row_stack().transpose(0, 1, 3, 2)).sum(axis=0)
         dw = dw.reshape(g, k, cout_g, k, cin_g).transpose(0, 2, 4, 3, 1).reshape(w.shape)
-        # dx is the forward conv of dy, zero-dilated by the stride and padded by
-        # k-1-pad, with the flipped, in/out-swapped weight. That conv widens,
-        # so the rule runs it as im2col over the narrow dy. A margin e keeps
-        # every dy row inside the buffer when pad > k-1.
-        e = max(0, pad - k + 1)
-        lo = k - 1 - pad + e
-        dyd = np.zeros((n, cout, h + k - 1 + 2 * e, wd + k - 1 + 2 * e))
-        dyd[:, :, lo : lo + s * ho : s, lo : lo + s * wo : s] = d
-        w_flip = w.reshape(g, cout_g, cin_g, k, k).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
-        dx, _ = _conv(dyd, w_flip.reshape(cin, cout_g, k, k), g, 1, 0)
-        return dx[:, :, e : e + h, e : e + wd], dw
+        # dx is the adjoint too: the weight transposed, times the same
+        # shifted dy, gives the row-stack gradient; its k row slabs add
+        # back into the padded input.
+        dstack = np.matmul(w_cols.reshape(g, k * cout_g, k * cin_g).transpose(0, 2, 1), shifted)
+        dstack = dstack.reshape(n, g, k, cin_g, ho, wp)
+        dxp = np.zeros_like(xp)
+        for i in range(k):
+            dxp[:, :, :, i : i + s * ho : s] += dstack[:, :, i]
+        return dxp.reshape(n, cin, h + 2 * pad, wp)[:, :, pad : pad + h, pad : pad + wd], dw
 
     return out.reshape(n, cout, ho, wo), vjp
 

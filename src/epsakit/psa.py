@@ -1,12 +1,13 @@
 """Pyramid squeeze attention (PSA).
 
 Pipeline: S parallel grouped convolutions with growing kernel sizes each
-squeeze the full C-channel input down to C' = C/S channels; a shared
-squeeze-excitation weighter turns each branch map into per-channel logits;
-a softmax across the S scales at every (sample, channel) position converts
-the stacked logits into competing attention weights; each branch map is
-rescaled by its weights and the branches are concatenated back to C
-channels.
+squeeze the full C-channel input down to C' = C/S channels. The branch
+maps are stacked on a scale axis, (N, S, C', H, W). A shared
+squeeze-excitation weighter, run once over the stack, turns each branch
+map into per-channel logits; a softmax across the scale axis at every
+(sample, channel) position converts them into competing attention weights
+(N, S, C', 1, 1); and one broadcast product rescales every branch map,
+which read as (N, S*C', H, W) is the concatenation back to C channels.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .ops import (
     sigmoid,
     softmax_over_scales,
 )
-from .tensor import Tensor, _wrap, concat_channels
+from .tensor import Tensor, _wrap
 
 __all__ = [
     "PsaConfig",
@@ -103,7 +104,7 @@ class PsaConfig:
         for k, g in zip(self.kernels, self.groups):
             if k <= 0 or k % 2 == 0:
                 raise ValueError(f"kernel sizes must be odd, got {k}")
-            if self.channels % g or cp % g:
+            if g < 1 or self.channels % g or cp % g:
                 raise ValueError(
                     f"group {g} must divide both input channels {self.channels} "
                     f"and branch channels {cp}"
@@ -245,46 +246,43 @@ def spc_forward(x: Tensor, p: PsaParams) -> list[Tensor]:
 def psa_with_grad(x: Tensor, p: PsaParams) -> GradPair:
     """Full PSA forward with a backward closure over input and parameters.
 
-    Parameter gradients are keyed "branch{i}.weight" and
-    "se.fc0/fc1.weight/bias"; the shared SE weighter accumulates
-    contributions from all branches.
+    One pass over the scale axis (module docstring), with the SE weighter
+    seeing the stack as N*S maps of C' channels. The backward mirrors it:
+    one SE backward, one softmax VJP, one conv VJP per branch. Parameter
+    gradients are keyed "branch{i}.weight" and "se.fc0/fc1.weight/bias";
+    the shared SE weighter's gradients sum over all scales.
     """
     if x.c != p.config.channels:
         raise ValueError(f"input has {x.c} channels, config expects {p.config.channels}")
-    s = p.config.scales
-    cp = p.config.branch_channels
+    n, s, cp = x.n, p.config.scales, p.config.branch_channels
 
-    conv_gps = [conv2d(x, c) for c in p.branch_convs]
-    feats = [gp.output for gp in conv_gps]
-    se_gps = [_se_weight_grad(f, p.se) for f in feats]
-    logits = np.stack([gp.output.data for gp in se_gps], axis=1)  # (N, S, C', 1, 1)
-    att = softmax_over_scales(logits)
-    weighted = [feats[i].data * att[:, i] for i in range(s)]
-    out = concat_channels([_wrap(w) for w in weighted])
+    convs = [conv2d(x, c) for c in p.branch_convs]
+    conv_vjps = [gp.backward for gp in convs]
+    feats = np.stack([gp.output.data for gp in convs], axis=1)  # (N, S, C', H, W)
+    del convs  # the stack replaces the branch maps
+    hw = feats.shape[3:]
+    se = _se_weight_grad(_wrap(feats.reshape(n * s, cp, *hw)), p.se)
+    att = softmax_over_scales(se.output.data.reshape(n, s, cp, 1, 1))
+    out = _wrap((feats * att).reshape(n, s * cp, *hw))
+    out_shape = out.shape  # the closure holds neither the output nor x
 
     def backward(dy: Tensor):
-        if dy.shape != out.shape:
-            raise ValueError(f"upstream gradient shape {dy.shape} != {out.shape}")
-        dchunks = [dy.data[:, i * cp : (i + 1) * cp] for i in range(s)]
-        # product rule through y_i = f_i * att_i
-        datt = np.stack(
-            [(dchunks[i] * feats[i].data).sum(axis=(2, 3), keepdims=True) for i in range(s)],
-            axis=1,
-        )
+        if dy.shape != out_shape:
+            raise ValueError(f"upstream gradient shape {dy.shape} != {out_shape}")
+        d = dy.data.reshape(feats.shape)
+        # product rule through y = feats * att
+        datt = (d * feats).sum(axis=(3, 4), keepdims=True)
         dlogits = _softmax_over_scales_vjp(att, datt)
+        dfeats_se, se_grads = se.backward(_wrap(dlogits.reshape(n * s, cp, 1, 1)))
+        dfeats = d * att + dfeats_se.data.reshape(feats.shape)
 
-        grads: dict[str, np.ndarray] = {}
-        dx_total = np.zeros(x.shape)
-        for i in range(s):
-            dfeat = dchunks[i] * att[:, i]
-            dfeat_se, se_g = se_gps[i].backward(_wrap(dlogits[:, i]))
-            for k, v in se_g.items():
-                key = f"se.{k}"
-                grads[key] = grads.get(key, 0) + v
-            dxi, conv_g = conv_gps[i].backward(_wrap(dfeat + dfeat_se.data))
+        grads = {f"se.{k}": v for k, v in se_grads.items()}
+        dx = 0.0
+        for i, vjp in enumerate(conv_vjps):
+            dxi, conv_g = vjp(dfeats[:, i])
             grads[f"branch{i}.weight"] = conv_g["weight"]
-            dx_total += dxi.data
-        return _wrap(dx_total), grads
+            dx = dx + dxi.data
+        return _wrap(dx), grads
 
     return GradPair(out, backward)
 

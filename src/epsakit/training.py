@@ -53,7 +53,7 @@ class TrainConfig:
             raise ValueError(f"label_smoothing {self.label_smoothing} outside [0, 1)")
         if self.lr_decay_factor <= 0 or self.lr_decay_every <= 0:
             raise ValueError("decay settings must be positive")
-        if self.batch_size <= 0 or self.epochs < 0:
+        if self.batch_size <= 0 or self.epochs <= 0:
             raise ValueError("batch_size/epochs must be positive")
 
 
@@ -240,7 +240,7 @@ def train(model: Model, dataset: ToyDataset, cfg: TrainConfig) -> TrainingHistor
             final_loss, final_acc = evaluate(model, dataset, cfg.label_smoothing)
         except NonFiniteError as err:
             raise TrainingDiverged(f"non-finite values at final evaluation: {err}") from err
-    initial_loss = history.steps[0]["loss"] if history.steps else float("nan")
+    initial_loss = history.steps[0]["loss"]
     mean_losses = [e["mean_loss"] for e in history.epochs]
     history.summary = {
         "steps": step,
@@ -249,9 +249,7 @@ def train(model: Model, dataset: ToyDataset, cfg: TrainConfig) -> TrainingHistor
         "initial_loss": initial_loss,
         "final_loss": final_loss,
         "final_train_accuracy": final_acc,
-        "loss_reduction_pct": (
-            100.0 * (1.0 - final_loss / initial_loss) if step else 0.0
-        ),
+        "loss_reduction_pct": 100.0 * (1.0 - final_loss / initial_loss),
         "no_learning": bool(
             len(mean_losses) >= 2 and max(mean_losses) - min(mean_losses) < 1e-12
         ) or cfg.lr == 0.0,

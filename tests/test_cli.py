@@ -56,6 +56,31 @@ class TestDescribe:
         code, _, _ = run(capsys, "describe", "--config", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda c: c["stages"][0]["psa"].update(groups=[0, 1, 1, 1]),
+        lambda c: c["stages"][0].update(kind="se", se_reduction=0),
+        lambda c: c["stages"][0].update(kind="resnet", mid_channels=0),
+        lambda c: c["stages"][0].update(repeats=-2),
+        None,
+    ], ids=["psa_group_0", "se_reduction_0", "mid_channels_0", "repeats_-2", "top_level_list"])
+    def test_malformed_config_exit_2(self, capsys, tmp_path, edit):
+        cfg = {
+            "name": "custom", "num_classes": 7, "stem_channels": 32,
+            "stages": [{"repeats": 1, "mid_channels": 32, "kind": "epsa",
+                        "out_channels": 128,
+                        "psa": {"scales": 4, "kernels": [3, 5, 7, 9],
+                                "groups": [1, 4, 8, 8], "se_reduction": 16}}],
+        }
+        if edit is None:
+            cfg = [cfg]
+        else:
+            edit(cfg)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "describe", "--config", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
 
 class TestComplexity:
     def test_single_model_values(self, capsys):
@@ -127,6 +152,11 @@ class TestTrainToy:
         code, out, _ = run(capsys, "train-toy", "--lr", "0", "--epochs", "2")
         assert code == 0
         assert json.loads(out)["no_learning"] is True
+
+    def test_zero_epochs_exit_2(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "train-toy", "--epochs", "0", "--output", str(tmp_path))
+        assert code == 2
+        assert out == "" and not (tmp_path / "summary.json").exists()
 
     def test_divergence_exit_3(self, capsys):
         code, _, err = run(capsys, "train-toy", "--lr", "1e300", "--epochs", "1")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsakit import ops
+from epsakit.models import Psa
 from epsakit.psa import (
     PsaConfig,
     PsaParams,
@@ -219,6 +220,40 @@ class TestPsaForward:
         params = PsaParams.init(cfg, seed=3)
         x = random_uniform((1, 8, 4, 4), seed=seed, low=-1, high=1)
         assert psa_forward(x, params).equals(psa_forward(x, params))
+
+
+class TestCanonicalBackward:
+    """The canonical C=64 PSA (groups 1, 4, 8, 16) against central
+    differences along random directions: a directional derivative checks
+    every entry of a gradient at once, at the widths the models use."""
+
+    EPS = 1e-5
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_directional_derivatives(self, rng, stride):
+        layer = Psa(PsaConfig(64, stride=stride), rng)
+        x = rng.standard_normal((2, 64, 8, 8))
+        gp = psa_with_grad(Tensor(x), layer.p)
+        w = rng.standard_normal(gp.output.shape)
+        dx, grads = gp.backward(Tensor(w))
+
+        def objective(xa):
+            return float((psa_with_grad(Tensor(xa), layer.p).output.data * w).sum())
+
+        v = rng.standard_normal(x.shape)
+        fd = (objective(x + self.EPS * v) - objective(x - self.EPS * v)) / (2 * self.EPS)
+        assert abs(np.vdot(dx.data, v) - fd) <= 1e-7 * abs(fd)
+
+        for key in ("branch3.weight", "se.fc0.weight"):
+            base = layer.params()[key].copy()
+            u = rng.standard_normal(base.shape)
+            values = []
+            for t in (self.EPS, -self.EPS):
+                layer.set_param(key, base + t * u)
+                values.append(objective(x))
+            layer.set_param(key, base)
+            fd = (values[0] - values[1]) / (2 * self.EPS)
+            assert abs(np.vdot(grads[key], u) - fd) <= 1e-7 * abs(fd), key
 
 
 class TestTableFiveConfigs:

@@ -192,6 +192,10 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged):
             train(model, ds, cfg)
 
+    def test_zero_epochs_rejected(self):
+        with pytest.raises(ValueError):
+            TrainConfig(epochs=0)
+
     def test_head_class_mismatch_rejected(self):
         model, ds, cfg = tiny_setup()
         bad = ToyDataset(ds.images, ds.labels % 2, 2)
