@@ -607,25 +607,30 @@ def spec_to_config(spec: ModelSpec) -> dict:
 
 
 def config_to_spec(cfg: dict) -> ModelSpec:
-    if not isinstance(cfg, dict) or not all(isinstance(st, dict) for st in cfg["stages"]):
-        raise ValueError("a model config and each of its stages must be JSON objects")
-    stages = []
-    for i, st in enumerate(cfg["stages"]):
-        mid = int(st["mid_channels"])
-        kind = st["kind"]
-        out = int(st.get("out_channels", 4 * mid))
-        psa = PsaConfig.from_dict(mid, st["psa"]) if kind == "epsa" else None
-        block = BlockSpec(
-            kind=kind, mid_channels=mid, out_channels=out, psa=psa,
-            se_reduction=int(st.get("se_reduction", 16)),
+    """Parse a model config. A missing field raises KeyError; a field of the
+    wrong JSON type (say, a number where a list or object belongs) or a
+    bad value raises ValueError."""
+    try:
+        stages = []
+        for i, st in enumerate(cfg["stages"]):
+            mid = int(st["mid_channels"])
+            kind = st["kind"]
+            out = int(st.get("out_channels", 4 * mid))
+            psa = PsaConfig.from_dict(mid, st["psa"]) if kind == "epsa" else None
+            block = BlockSpec(
+                kind=kind, mid_channels=mid, out_channels=out, psa=psa,
+                se_reduction=int(st.get("se_reduction", 16)),
+            )
+            stride = 1 if i == 0 else 2
+            stages.append(StageSpec(blocks=int(st["repeats"]), first_stride=stride, block=block))
+        return ModelSpec(
+            name=str(cfg.get("name", "custom")),
+            stages=tuple(stages),
+            num_classes=int(cfg.get("num_classes", 1000)),
+            stem_channels=int(cfg.get("stem_channels", 64)),
         )
-        stages.append(StageSpec(blocks=int(st["repeats"]), first_stride=1 if i == 0 else 2, block=block))
-    return ModelSpec(
-        name=str(cfg.get("name", "custom")),
-        stages=tuple(stages),
-        num_classes=int(cfg.get("num_classes", 1000)),
-        stem_channels=int(cfg.get("stem_channels", 64)),
-    )
+    except TypeError as err:
+        raise ValueError(f"a model config field has the wrong JSON type ({err})") from None
 
 
 def build_from_config(cfg: dict, seed: int = 0) -> Model:

@@ -5,17 +5,28 @@ closure mapping an upstream gradient to (input gradient, parameter
 gradients). Backwards are hand-derived and validated against the central
 finite-difference oracle that also lives here.
 
+Batch norm and relu allocate their output and nothing else that scales
+with the activation: batch norm is one per-channel affine pass (out =
+x*scale, then out += shift), and its backward rebuilds the normalized
+input from x; relu keeps only a bool mask. A 1x1 conv at stride 1 without
+padding runs on a view of its input, not an im2col copy, and so keeps
+nothing but its output. Backward closures keep their input by reference,
+which is safe because tensors are read-only.
+
 Convolutions pick one of two strategies in `_conv`, by one rule:
 
 - A conv that narrows the channels (kernel > 1 and fewer output than input
   channels per group), such as every PSA branch conv (C -> C/4), runs
   weight-first: one matmul against the k input rows each output row reads,
-  then k shifted adds on the narrow output. Its backward is the adjoint
+  then k shifted adds on the narrow output. Only the rows are padded, and
+  each kernel column adds only into the output span whose input columns
+  lie inside the map, so at stride 1 the matmul does exactly the conv's
+  MACs (about twice them at stride 2). Its backward is the adjoint
   of that forward: two matmuls against the output gradient shifted to
   each kernel column, one with the row stack for dW, one with the
   transposed weight for the row-stack gradient, whose k row slabs add
   back into the input. No buffer k*k times the input is built, and only
-  the padded input is kept for the backward.
+  the row-padded input is kept for the backward.
 - Every other conv runs as grouped matmuls over an im2col buffer, with a
   col2im backward.
 
@@ -227,10 +238,15 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int, pad_value: float = 0.0):
-    """Return (cols, out_h, out_w) with cols shaped (N, C, k, k, Ho, Wo)."""
+    """Return (cols, out_h, out_w) with cols shaped (N, C, k, k, Ho, Wo).
+
+    For a 1x1 kernel at stride 1 without padding, cols is a view of x.
+    """
     n, c, h, w = x.shape
     ho = conv_output_size(h, k, stride, padding)
     wo = conv_output_size(w, k, stride, padding)
+    if k == 1 and stride == 1 and not padding:
+        return x[:, :, None, None], ho, wo
     if padding:
         xp = np.full((n, c, h + 2 * padding, w + 2 * padding), pad_value)
         xp[:, :, padding : padding + h, padding : padding + w] = x
@@ -247,6 +263,8 @@ def _col2im(dcols: np.ndarray, in_hw: tuple[int, int], k: int, stride: int, padd
     """Scatter-add the im2col gradient back to input layout."""
     n, c, _, _, ho, wo = dcols.shape
     h, w = in_hw
+    if k == 1 and stride == 1 and not padding:
+        return dcols.reshape(n, c, h, w)
     dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
     for i in range(k):
         for j in range(k):
@@ -295,52 +313,64 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, g: int, s: int, pad: int):
 
     One matmul of the weight, with its k kernel columns as k*Og output
     rows, against the k input rows each output row reads, stacked:
-    (G, k*Og, k*Cg) x (N, G, k*Cg, Ho*Wp). Then k shifted adds, on the
-    narrow output side, sum the kernel columns. The stack is k times the
-    input, not k*k, and lives only inside one call; the backward keeps
-    only the padded input and is the adjoint of these steps.
+    (G, k*Og, k*Cg) x (N, G, k*Cg, Ho*W). Only the rows are padded, so the
+    stack holds the W input columns and no padded ones. Then k shifted
+    adds, on the narrow output side, sum the kernel columns: column j adds
+    into the output span [lo, hi) whose input columns s*x + j - pad lie
+    inside the map. The stack is k times the input, not k*k, and lives
+    only inside one call; the backward keeps only the row-padded input and
+    is the adjoint of these steps.
     """
     n, cin, h, wd = x.shape
     cout, cin_g, k, _ = w.shape
     cout_g = cout // g
     ho = conv_output_size(h, k, s, pad)
     wo = conv_output_size(wd, k, s, pad)
-    wp = wd + 2 * pad
-    xp = np.zeros((n, g, cin_g, h + 2 * pad, wp))
-    xp.reshape(n, cin, h + 2 * pad, wp)[:, :, pad : pad + h, pad : pad + wd] = x
+    xp = np.zeros((n, g, cin_g, h + 2 * pad, wd))
+    xp.reshape(n, cin, h + 2 * pad, wd)[:, :, pad : pad + h] = x
+    # Kernel column j: (j, output span [lo, hi), the input columns it reads).
+    # A span is empty when the map is narrower than the kernel reaches.
+    spans = []
+    for j in range(k):
+        lo = max(0, -((j - pad) // s))
+        hi = min(wo, (wd - 1 + pad - j) // s + 1)
+        if lo < hi:
+            c0 = s * lo + j - pad
+            spans.append((j, lo, hi, slice(c0, c0 + s * (hi - lo) - s + 1, s)))
 
     def row_stack() -> np.ndarray:
-        stack = np.empty((n, g, k, cin_g, ho, wp))
+        stack = np.empty((n, g, k, cin_g, ho, wd))
         for i in range(k):
             stack[:, :, i] = xp[:, :, :, i : i + s * ho : s]
-        return stack.reshape(n, g, k * cin_g, ho * wp)
+        return stack.reshape(n, g, k * cin_g, ho * wd)
 
     # (G, O, C, i, j) -> (G, j*Og + o, i*Cg + c)
     w_cols = w.reshape(g, cout_g, cin_g, k, k).transpose(0, 4, 1, 3, 2)
     z = np.matmul(w_cols.reshape(g, k * cout_g, k * cin_g), row_stack())
-    z = z.reshape(n, g, k, cout_g, ho, wp)
-    out = z[:, :, 0, :, :, 0 : s * wo : s].copy()
-    for j in range(1, k):
-        out += z[:, :, j, :, :, j : j + s * wo : s]
+    z = z.reshape(n, g, k, cout_g, ho, wd)
+    out = np.zeros((n, g, cout_g, ho, wo))
+    for j, lo, hi, cols in spans:
+        out[..., lo:hi] += z[:, :, j, :, :, cols]
 
     def vjp(d: np.ndarray):
         # dW is the adjoint of the forward: dy shifted to each kernel
-        # column, times the row stack.
-        shifted = np.zeros((n, g, k, cout_g, ho, wp))
-        for j in range(k):
-            shifted[:, :, j, :, :, j : j + s * wo : s] = d.reshape(n, g, cout_g, ho, wo)
-        shifted = shifted.reshape(n, g, k * cout_g, ho * wp)
+        # column's input columns, times the row stack.
+        shifted = np.zeros((n, g, k, cout_g, ho, wd))
+        dg = d.reshape(n, g, cout_g, ho, wo)
+        for j, lo, hi, cols in spans:
+            shifted[:, :, j, :, :, cols] = dg[..., lo:hi]
+        shifted = shifted.reshape(n, g, k * cout_g, ho * wd)
         dw = np.matmul(shifted, row_stack().transpose(0, 1, 3, 2)).sum(axis=0)
         dw = dw.reshape(g, k, cout_g, k, cin_g).transpose(0, 2, 4, 3, 1).reshape(w.shape)
         # dx is the adjoint too: the weight transposed, times the same
         # shifted dy, gives the row-stack gradient; its k row slabs add
-        # back into the padded input.
+        # back into the row-padded input.
         dstack = np.matmul(w_cols.reshape(g, k * cout_g, k * cin_g).transpose(0, 2, 1), shifted)
-        dstack = dstack.reshape(n, g, k, cin_g, ho, wp)
+        dstack = dstack.reshape(n, g, k, cin_g, ho, wd)
         dxp = np.zeros_like(xp)
         for i in range(k):
             dxp[:, :, :, i : i + s * ho : s] += dstack[:, :, i]
-        return dxp.reshape(n, cin, h + 2 * pad, wp)[:, :, pad : pad + h, pad : pad + wd], dw
+        return dxp.reshape(n, cin, h + 2 * pad, wd)[:, :, pad : pad + h], dw
 
     return out.reshape(n, cout, ho, wo), vjp
 
@@ -425,7 +455,7 @@ def relu(x: Tensor) -> GradPair:
     def backward(dy: Tensor):
         return _wrap(dy.data * mask), {}
 
-    return GradPair(_wrap(np.where(mask, x.data, 0.0)), backward)
+    return GradPair(_wrap(np.maximum(x.data, 0.0)), backward)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -471,7 +501,8 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> GradPair:
 
     Training mode normalizes with batch statistics and updates the running
     statistics in place (torch-style: running <- (1-m)*running + m*batch,
-    with the unbiased variance feeding the running update).
+    with the unbiased variance feeding the running update). Either mode
+    runs as one per-channel affine pass, out = x*scale + shift.
     """
     if x.c != p.gamma.shape[0]:
         raise ValueError(f"input has {x.c} channels, expected {p.gamma.shape[0]}")
@@ -481,37 +512,46 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> GradPair:
 
     if training:
         mean = xd.mean(axis=axes)
-        var = xd.var(axis=axes)
+        # The output buffer holds the squared deviations first: the same
+        # steps as xd.var, without a temporary of its own.
+        out = np.subtract(xd, mean[None, :, None, None])
+        np.multiply(out, out, out=out)
+        var = out.mean(axis=axes)
         corr = m / (m - 1) if m > 1 else 1.0
         p.running_mean[:] = (1 - p.momentum) * p.running_mean + p.momentum * mean
         p.running_var[:] = (1 - p.momentum) * p.running_var + p.momentum * var * corr
     else:
-        mean = p.running_mean
+        # Copies: a later training forward updates the running statistics
+        # in place, and this forward's backward must not see that.
+        mean = p.running_mean.copy()
         var = p.running_var
+        out = np.empty_like(xd)
 
     inv_std = 1.0 / np.sqrt(var + p.eps)
-    xhat = (xd - mean[None, :, None, None]) * inv_std[None, :, None, None]
     # The backward must use the gamma this forward used, even if the
     # parameter is replaced in between.
-    gamma = p.gamma[None, :, None, None]
-    out = gamma * xhat + p.beta[None, :, None, None]
+    gamma = p.gamma
+    scale = gamma * inv_std
+    np.multiply(xd, scale[None, :, None, None], out=out)
+    out += (p.beta - mean * scale)[None, :, None, None]
 
     def backward(dy: Tensor):
         d = dy.data
-        dgamma = (d * xhat).sum(axis=axes)
+        xhat = np.subtract(xd, mean[None, :, None, None])
+        xhat *= inv_std[None, :, None, None]
+        prod = d * xhat
+        dgamma = prod.sum(axis=axes)
         dbeta = d.sum(axis=axes)
-        dxhat = d * gamma
+        dx = d * gamma[None, :, None, None]  # dxhat until the last step
         if training:
-            # Batch statistics depend on x, so the Jacobian couples samples.
-            sum_dxhat = dxhat.sum(axis=axes)
-            sum_dxhat_xhat = (dxhat * xhat).sum(axis=axes)
-            dx = (
-                dxhat
-                - (sum_dxhat / m)[None, :, None, None]
-                - xhat * (sum_dxhat_xhat / m)[None, :, None, None]
-            ) * inv_std[None, :, None, None]
-        else:
-            dx = dxhat * inv_std[None, :, None, None]
+            # Batch statistics depend on x, so the Jacobian couples samples:
+            # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std.
+            sum_dxhat = dx.sum(axis=axes)
+            sum_dxhat_xhat = np.multiply(dx, xhat, out=prod).sum(axis=axes)
+            dx -= (sum_dxhat / m)[None, :, None, None]
+            xhat *= (sum_dxhat_xhat / m)[None, :, None, None]
+            dx -= xhat
+        dx *= inv_std[None, :, None, None]
         return _wrap(dx), {"gamma": dgamma, "beta": dbeta}
 
     return GradPair(_wrap(out), backward)

@@ -36,6 +36,29 @@ def naive_conv2d(x, w, bias=None, stride=1, padding=0, groups=1):
     return out
 
 
+def _per_channel(v):
+    return np.asarray(v)[None, :, None, None]
+
+
+def naive_batch_norm(x, gamma, beta, mean, var, eps):
+    """gamma * ((x - mean) * inv_std) + beta per channel, inv_std = 1/sqrt(var + eps)."""
+    b = _per_channel
+    return b(gamma) * ((x - b(mean)) * (1.0 / np.sqrt(b(var) + eps))) + b(beta)
+
+
+def naive_batch_norm_dx(dy, x, gamma, mean, var, eps, training):
+    """Input gradient of naive_batch_norm. In training, mean and var are the
+    batch statistics of x and depend on it; in eval they are constants."""
+    b = _per_channel
+    inv_std = 1.0 / np.sqrt(b(var) + eps)
+    g = dy * b(gamma) * inv_std
+    if not training:
+        return g
+    axes = (0, 2, 3)
+    xhat = (x - b(mean)) * inv_std
+    return g - g.mean(axis=axes, keepdims=True) - xhat * (g * xhat).mean(axis=axes, keepdims=True)
+
+
 def naive_gap(x):
     n, c, h, w = x.shape
     out = np.zeros((n, c, 1, 1))

@@ -1,5 +1,7 @@
 """Operator forward contracts, checked against loop oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,14 @@ from epsakit import ops
 from epsakit.ops import BatchNormParams, Conv2dParams, LinearParams
 from epsakit.tensor import Tensor
 
-from oracles import naive_conv2d, naive_gap, naive_linear, naive_max_pool
+from oracles import (
+    naive_batch_norm,
+    naive_batch_norm_dx,
+    naive_conv2d,
+    naive_gap,
+    naive_linear,
+    naive_max_pool,
+)
 
 
 class TestConv2d:
@@ -71,6 +80,26 @@ class TestConv2d:
         p = Conv2dParams.init(1, 1, 3, stride=2, padding=1)
         out = ops.conv2d(Tensor(np.zeros((1, 1, 112, 112))), p).output
         assert out.shape == (1, 1, 56, 56)
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_pointwise_matches_oracle(self, rng, stride, groups):
+        """1x1 convs (the stride-1 ones run on a view of x, with no im2col
+        copy) against the loop oracle; dx and dW against the row-stack
+        strategy, which builds its own buffers."""
+        p = Conv2dParams.init(4, 6, 1, stride=stride, groups=groups, seed=rng)
+        w = p.weight.data
+        x = Tensor(rng.standard_normal((2, 4, 5, 7)))
+        gp = ops.conv2d(x, p)
+        out = gp.output.data
+        want = naive_conv2d(x.data, w, None, stride, 0, groups)
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+        assert not np.shares_memory(out, x.data)
+        dy = rng.standard_normal(out.shape)
+        dx, grads = gp.backward(Tensor(dy))
+        ref_dx, ref_dw = ops._conv_rows(x.data, w, groups, stride, 0)[1](dy)
+        np.testing.assert_allclose(dx.data, ref_dx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads["weight"], ref_dw, rtol=0, atol=1e-12)
 
 
 class TestGlobalAvgPool:
@@ -210,6 +239,48 @@ class TestBatchNorm:
         p.gamma = p.gamma * 3.0
         assert np.array_equal(gp.backward(dy)[0].data, want)
 
+    def test_backward_uses_forward_running_stats(self, rng):
+        """A training forward between an eval forward and its backward
+        updates the running statistics in place; the eval backward still
+        uses the statistics its forward read."""
+        def params():
+            p = BatchNormParams.init(3)
+            p.gamma[:] = [0.5, 1.5, 2.0]
+            p.running_mean[:] = [0.3, -1.0, 2.0]
+            p.running_var[:] = [0.5, 2.0, 4.0]
+            return p
+
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)))
+        dy = Tensor(rng.standard_normal(x.shape))
+        dx, grads = ops.batch_norm(x, params(), False).backward(dy)
+        p = params()
+        gp = ops.batch_norm(x, p, False)
+        ops.batch_norm(Tensor(rng.standard_normal(x.shape) + 5.0), p, True)
+        got_dx, got_grads = gp.backward(dy)
+        assert np.array_equal(got_dx.data, dx.data)
+        assert all(np.array_equal(got_grads[k], grads[k]) for k in ("gamma", "beta"))
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_matches_naive_formula(self, rng, training):
+        c = 4
+        p = BatchNormParams.init(c)
+        p.gamma[:] = rng.uniform(0.5, 2.0, c)
+        p.beta[:] = rng.uniform(-1.0, 1.0, c)
+        p.running_mean[:] = rng.uniform(-2.0, 2.0, c)
+        p.running_var[:] = rng.uniform(0.5, 3.0, c)
+        x = rng.standard_normal((3, c, 5, 6)) * 2.0 + 1.5
+        if training:
+            mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        else:
+            mean, var = p.running_mean.copy(), p.running_var.copy()
+        gp = ops.batch_norm(Tensor(x), p, training)
+        want = naive_batch_norm(x, p.gamma, p.beta, mean, var, p.eps)
+        np.testing.assert_allclose(gp.output.data, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        dy = rng.standard_normal(x.shape)
+        want_dx = naive_batch_norm_dx(dy, x, p.gamma, mean, var, p.eps, training)
+        got_dx = gp.backward(Tensor(dy))[0].data
+        np.testing.assert_allclose(got_dx, want_dx, rtol=0, atol=1e-12 * np.abs(want_dx).max())
+
 
 class TestMaxPool:
     def test_constant_input(self):
@@ -248,18 +319,26 @@ PSA_BRANCH_CONVS = [
     for cin, cout in [(32, 8), (64, 16)]
     if cout % g == 0
 ]
+# Each on a 4x5 map; the k9 ones also on maps smaller than the kernel,
+# where some kernel columns read no input column at all.
+NARROWING_CASES = [pytest.param(*c, (4, 5), id="-".join(map(str, c))) for c in PSA_BRANCH_CONVS] + [
+    pytest.param(*c, hw, id="-".join(map(str, c)) + f"-{hw[0]}x{hw[1]}")
+    for c in PSA_BRANCH_CONVS
+    if c[0] == 9
+    for hw in [(1, 1), (2, 2), (3, 5)]
+]
 
 
 class TestNarrowingConv:
     """The weight-first strategy that conv2d picks for convs narrowing the channels."""
 
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("k,g,cin,cout", PSA_BRANCH_CONVS)
-    def test_matches_oracle_and_im2col(self, rng, k, g, cin, cout, stride):
+    @pytest.mark.parametrize("k,g,cin,cout,hw", NARROWING_CASES)
+    def test_matches_oracle_and_im2col(self, rng, k, g, cin, cout, hw, stride):
         pad = (k - 1) // 2
         p = Conv2dParams.init(cin, cout, k, stride=stride, padding=pad, groups=g, seed=rng)
         w = p.weight.data
-        x = rng.standard_normal((8, cin, 4, 5))
+        x = rng.standard_normal((8, cin) + hw)
         want = naive_conv2d(x, w, None, stride, pad, g)
         for n in (1, 8):
             out, vjp = ops._conv_rows(x[:n], w, g, stride, pad)
@@ -307,3 +386,33 @@ class TestNarrowingConv:
         assert np.array_equal(whole.output.data, np.concatenate(outs, axis=1))
         assert np.array_equal(dx.data, np.concatenate(dxs, axis=1))
         assert np.array_equal(grads["weight"], np.concatenate(dws, axis=0))
+
+
+class TestAllocationBudget:
+    """Batch norm and stride-1 1x1 convs allocate their output and nothing
+    else that scales with the activation; these budgets keep a later edit
+    from quietly bringing the temporaries back."""
+
+    @staticmethod
+    def traced(fn):
+        """(result, peak bytes, bytes still held with the result alive)."""
+        tracemalloc.start()
+        try:
+            result = fn()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak, held
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batch_norm_peak(self, rng, training):
+        p = BatchNormParams.init(64)
+        x = Tensor(rng.standard_normal((1, 64, 56, 56)))
+        gp, peak, _ = self.traced(lambda: ops.batch_norm(x, p, training))
+        assert peak <= 1.25 * gp.output.data.nbytes
+
+    def test_pointwise_conv_retains_only_its_output(self, rng):
+        p = Conv2dParams.init(64, 256, 1, seed=rng)
+        x = Tensor(rng.standard_normal((1, 64, 56, 56)))
+        gp, _, held = self.traced(lambda: ops.conv2d(x, p))
+        assert held <= 1.01 * gp.output.data.nbytes
