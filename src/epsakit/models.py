@@ -31,6 +31,7 @@ SE layer runs the same SE op (`psa._se_weight_grad`) as PSA, without biases.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,7 +40,7 @@ import numpy as np
 from . import ops
 from .ops import BatchNormParams, Conv2dParams, LinearParams, _rng, conv_output_size
 from .psa import PsaConfig, PsaParams, SeWeightParams, _se_weight_grad, psa_with_grad
-from .tensor import Tensor, _wrap
+from .tensor import NonFiniteError, Tensor, _wrap
 
 __all__ = [
     "Layer",
@@ -87,17 +88,35 @@ def _ledger(layers, shape) -> tuple[tuple, list[LayerRow]]:
     return shape, rows
 
 
+@contextmanager
+def _located(name: str, phase: str):
+    """Prefix a NonFiniteError's layer path with name; keep an inner phase."""
+    try:
+        yield
+    except NonFiniteError as err:
+        err.layer = name if err.layer is None else f"{name}.{err.layer}"
+        err.phase = err.phase or phase
+        raise
+
+
 def _chain(layers, x: Tensor, training: bool):
-    """Run (name, layer) pairs in order; the vjp names each gradient by its layer."""
+    """Run (name, layer) pairs in order; the vjp (None in eval) names each gradient and checks each dx."""
     vjps = []
     for name, layer in layers:
-        x, vjp = layer.apply(x, training)
-        vjps.append((name, vjp))
+        with _located(name, "forward"):
+            x, vjp = layer.apply(x, training)
+        if training:
+            vjps.append((name, vjp))
+    if not training:
+        return x, None
 
     def vjp(dy):
         grads: dict[str, np.ndarray] = {}
         for name, v in reversed(vjps):
-            dy, g = v(dy)
+            with _located(name, "backward"):
+                dy, g = v(dy)
+                if not np.isfinite(dy).all():
+                    raise NonFiniteError("gradient has NaN or Inf")
             grads.update({f"{name}.{k}": a for k, a in g.items()})
         return dy, grads
 
@@ -177,8 +196,7 @@ class Conv(Layer):
         return _weight_bias(self.p)
 
     def apply(self, x: Tensor, training: bool):
-        gp = ops.conv2d(x, self.p)
-        return gp.output, gp.backward
+        return ops.conv2d(x, self.p)
 
     def complexity(self, in_shape):
         out_shape, row = _conv_row(self.p, in_shape)
@@ -196,8 +214,7 @@ class BatchNorm(Layer):
         return {n: (self.p, n) for n in ("running_mean", "running_var")}
 
     def apply(self, x: Tensor, training: bool):
-        gp = ops.batch_norm(x, self.p, training)
-        return gp.output, gp.backward
+        return ops.batch_norm(x, self.p, training)
 
     def complexity(self, in_shape):
         return in_shape, [LayerRow("", self.p.param_count, 0, in_shape)]
@@ -205,8 +222,7 @@ class BatchNorm(Layer):
 
 class ReLU(Layer):
     def apply(self, x: Tensor, training: bool):
-        gp = ops.relu(x)
-        return gp.output, gp.backward
+        return ops.relu(x)
 
 
 class MaxPool(Layer):
@@ -214,8 +230,7 @@ class MaxPool(Layer):
         self.kernel, self.stride, self.padding = kernel, stride, padding
 
     def apply(self, x: Tensor, training: bool):
-        gp = ops.max_pool(x, self.kernel, self.stride, self.padding)
-        return gp.output, gp.backward
+        return ops.max_pool(x, self.kernel, self.stride, self.padding)
 
     def complexity(self, in_shape):
         n, c, h, w = in_shape
@@ -228,11 +243,7 @@ class MaxPool(Layer):
 class GlobalAvgPool(Layer):
     def apply(self, x: Tensor, training: bool):
         in_shape = x.shape
-
-        def vjp(dy):
-            return _wrap(ops._global_avg_pool_vjp(in_shape, dy.data)), {}
-
-        return ops.global_avg_pool(x), vjp
+        return ops.global_avg_pool(x), lambda dy: (ops._global_avg_pool_vjp(in_shape, dy), {})
 
     def complexity(self, in_shape):
         n, c, _, _ = in_shape
@@ -250,8 +261,7 @@ class Linear(Layer):
         return _weight_bias(self.p)
 
     def apply(self, x: Tensor, training: bool):
-        gp = ops.linear(x, self.p)
-        return gp.output, gp.backward
+        return ops.linear(x, self.p)
 
     def complexity(self, in_shape):
         n = in_shape[0]
@@ -273,8 +283,8 @@ class SeScale(Layer):
         w = gp.output.data
 
         def vjp(dy):
-            dx_se, grads = gp.backward(_wrap((dy.data * x.data).sum(axis=(2, 3), keepdims=True)))
-            return _wrap(dy.data * w + dx_se.data), grads
+            dx_se, grads = gp.backward((dy * x.data).sum(axis=(2, 3), keepdims=True))
+            return dy * w + dx_se, grads
 
         return _wrap(x.data * w), vjp
 
@@ -297,8 +307,7 @@ class Psa(Layer):
         return {**out, **_weight_bias(self.p.se.fc0, "se.fc0."), **_weight_bias(self.p.se.fc1, "se.fc1.")}
 
     def apply(self, x: Tensor, training: bool):
-        gp = psa_with_grad(x, self.p)
-        return gp.output, gp.backward
+        return psa_with_grad(x, self.p)
 
     def complexity(self, in_shape):
         cfg = self.p.config
@@ -400,13 +409,15 @@ class Bottleneck(Layer):
         h, body_vjp = _chain(self.body, x, training)
         s, shortcut_vjp = _chain(self.shortcut, x, training)
         y, relu_vjp = self.relu.apply(_wrap(h.data + s.data), training)
+        if not training:
+            return y, None
 
         def vjp(dy):
             dpre, _ = relu_vjp(dy)
             dh, grads = body_vjp(dpre)
             ds, g = shortcut_vjp(dpre)
             grads.update(g)
-            return _wrap(dh.data + ds.data), grads
+            return dh + ds, grads
 
         return y, vjp
 

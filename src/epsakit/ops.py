@@ -37,8 +37,8 @@ strategy as its groups run one by one, and the two agree bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -63,7 +63,6 @@ __all__ = [
     "max_relative_error",
 ]
 
-ArrayOrTensor = Union[Tensor, np.ndarray]
 ParamGrads = dict[str, np.ndarray]
 
 
@@ -223,8 +222,11 @@ class BatchNormParams:
 class GradPair:
     """Forward output plus the matching vector-Jacobian product."""
 
-    output: ArrayOrTensor
-    backward: Callable[[ArrayOrTensor], tuple[ArrayOrTensor, ParamGrads]]
+    output: Tensor | np.ndarray
+    backward: Callable[[np.ndarray], tuple[np.ndarray, ParamGrads]]
+
+    def __iter__(self):  # unpacks as a layer's (y, vjp)
+        return iter((self.output, self.backward))
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -384,15 +386,14 @@ def conv2d(x: Tensor, p: Conv2dParams) -> GradPair:
         out = out + p.bias[None, :, None, None]
     out_shape = out.shape
 
-    def backward(dy: Tensor):
-        d = dy.data if isinstance(dy, Tensor) else np.asarray(dy, dtype=np.float64)
-        if d.shape != out_shape:
-            raise ValueError(f"upstream gradient shape {d.shape} != {out_shape}")
-        dx, dw = vjp(d)
+    def backward(dy: np.ndarray):
+        if dy.shape != out_shape:
+            raise ValueError(f"upstream gradient shape {dy.shape} != {out_shape}")
+        dx, dw = vjp(dy)
         grads: ParamGrads = {"weight": dw}
         if p.bias is not None:
-            grads["bias"] = d.sum(axis=(0, 2, 3))
-        return _wrap(dx), grads
+            grads["bias"] = dy.sum(axis=(0, 2, 3))
+        return dx, grads
 
     return GradPair(_wrap(out), backward)
 
@@ -407,7 +408,7 @@ def _global_avg_pool_vjp(in_shape: tuple[int, int, int, int], dy: np.ndarray) ->
     return np.broadcast_to(dy / (h * w), in_shape).copy()
 
 
-def linear(x: ArrayOrTensor, p: LinearParams) -> GradPair:
+def linear(x: Tensor | np.ndarray, p: LinearParams) -> GradPair:
     """Affine map per sample.
 
     Accepts a (N, C, 1, 1) tensor (returns (N, out, 1, 1)) or a plain
@@ -419,7 +420,7 @@ def linear(x: ArrayOrTensor, p: LinearParams) -> GradPair:
             raise ValueError(f"linear expects (N, C, 1, 1), got {x.shape}")
         flat = x.data.reshape(x.n, x.c)
     else:
-        flat = np.asarray(x, dtype=np.float64)
+        x = flat = np.asarray(x, dtype=np.float64)
         if flat.ndim != 2:
             raise ValueError(f"linear expects a (N, C) array, got shape {flat.shape}")
     if flat.shape[1] != p.in_features:
@@ -428,32 +429,26 @@ def linear(x: ArrayOrTensor, p: LinearParams) -> GradPair:
     # The backward must use the weight this forward used, even if the
     # parameter is replaced in between.
     weight, has_bias = p.weight, p.bias is not None
-    n, (out_f, in_f) = flat.shape[0], weight.shape
+    n, out_f = flat.shape[0], weight.shape[0]
     out = flat @ weight.T
     if has_bias:
         out = out + p.bias
 
-    def backward(dy: ArrayOrTensor):
-        d = dy.data if isinstance(dy, Tensor) else np.asarray(dy, dtype=np.float64)
-        d2 = d.reshape(n, out_f)
-        dx = d2 @ weight
+    def backward(dy: np.ndarray):
+        d2 = dy.reshape(n, out_f)
         grads: ParamGrads = {"weight": d2.T @ flat}
         if has_bias:
             grads["bias"] = d2.sum(axis=0)
-        if tensor_in:
-            return _wrap(dx.reshape(n, in_f, 1, 1)), grads
-        return dx, grads
+        return (d2 @ weight).reshape(x.shape), grads
 
-    if tensor_in:
-        return GradPair(_wrap(out.reshape(n, out_f, 1, 1)), backward)
-    return GradPair(out, backward)
+    return GradPair(_wrap(out.reshape(n, out_f, 1, 1)) if tensor_in else out, backward)
 
 
 def relu(x: Tensor) -> GradPair:
     mask = x.data > 0
 
-    def backward(dy: Tensor):
-        return _wrap(dy.data * mask), {}
+    def backward(dy: np.ndarray):
+        return dy * mask, {}
 
     return GradPair(_wrap(np.maximum(x.data, 0.0)), backward)
 
@@ -471,8 +466,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def sigmoid(x: Tensor) -> GradPair:
     y = _sigmoid(x.data)
 
-    def backward(dy: Tensor):
-        return _wrap(dy.data * y * (1.0 - y)), {}
+    def backward(dy: np.ndarray):
+        return dy * y * (1.0 - y), {}
 
     return GradPair(_wrap(y), backward)
 
@@ -535,8 +530,7 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> GradPair:
     np.multiply(xd, scale[None, :, None, None], out=out)
     out += (p.beta - mean * scale)[None, :, None, None]
 
-    def backward(dy: Tensor):
-        d = dy.data
+    def backward(d: np.ndarray):
         xhat = np.subtract(xd, mean[None, :, None, None])
         xhat *= inv_std[None, :, None, None]
         prod = d * xhat
@@ -552,7 +546,7 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> GradPair:
             xhat *= (sum_dxhat_xhat / m)[None, :, None, None]
             dx -= xhat
         dx *= inv_std[None, :, None, None]
-        return _wrap(dx), {"gamma": dgamma, "beta": dbeta}
+        return dx, {"gamma": dgamma, "beta": dbeta}
 
     return GradPair(_wrap(out), backward)
 
@@ -566,12 +560,11 @@ def max_pool(x: Tensor, kernel: int = 3, stride: int = 2, padding: int = 1) -> G
     out = np.take_along_axis(flat, idx[:, :, None, :], axis=2)[:, :, 0, :].reshape(n, c, ho, wo)
     in_hw = (x.h, x.w)
 
-    def backward(dy: Tensor):
-        d = dy.data.reshape(n, c, 1, ho * wo)
-        dflat = np.zeros_like(flat)
-        np.put_along_axis(dflat, idx[:, :, None, :], d, axis=2)
+    def backward(dy: np.ndarray):
+        dflat = np.zeros((n, c, kernel * kernel, ho * wo))
+        np.put_along_axis(dflat, idx[:, :, None, :], dy.reshape(n, c, 1, ho * wo), axis=2)
         dcols = dflat.reshape(n, c, kernel, kernel, ho, wo)
-        return _wrap(_col2im(dcols, in_hw, kernel, stride, padding)), {}
+        return _col2im(dcols, in_hw, kernel, stride, padding), {}
 
     return GradPair(_wrap(out), backward)
 

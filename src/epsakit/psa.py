@@ -218,15 +218,14 @@ def _se_weight_grad(x: Tensor, p: SeWeightParams) -> GradPair:
     gp1 = linear(gpr.output, p.fc1)
     gps = sigmoid(gp1.output)
 
-    def backward(dy: Tensor):
+    def backward(dy: np.ndarray):
         d, _ = gps.backward(dy)
         d, g1 = gp1.backward(d)
         d, _ = gpr.backward(d)
         d, g0 = gp0.backward(d)
-        dx = _wrap(_global_avg_pool_vjp(x.shape, d.data))
         grads = {f"fc0.{k}": v for k, v in g0.items()}
         grads.update({f"fc1.{k}": v for k, v in g1.items()})
-        return dx, grads
+        return _global_avg_pool_vjp(x.shape, d), grads
 
     return GradPair(gps.output, backward)
 
@@ -266,23 +265,23 @@ def psa_with_grad(x: Tensor, p: PsaParams) -> GradPair:
     out = _wrap((feats * att).reshape(n, s * cp, *hw))
     out_shape = out.shape  # the closure holds neither the output nor x
 
-    def backward(dy: Tensor):
+    def backward(dy: np.ndarray):
         if dy.shape != out_shape:
             raise ValueError(f"upstream gradient shape {dy.shape} != {out_shape}")
-        d = dy.data.reshape(feats.shape)
+        d = dy.reshape(feats.shape)
         # product rule through y = feats * att
         datt = (d * feats).sum(axis=(3, 4), keepdims=True)
         dlogits = _softmax_over_scales_vjp(att, datt)
-        dfeats_se, se_grads = se.backward(_wrap(dlogits.reshape(n * s, cp, 1, 1)))
-        dfeats = d * att + dfeats_se.data.reshape(feats.shape)
+        dfeats_se, se_grads = se.backward(dlogits.reshape(n * s, cp, 1, 1))
+        dfeats = d * att + dfeats_se.reshape(feats.shape)
 
         grads = {f"se.{k}": v for k, v in se_grads.items()}
         dx = 0.0
         for i, vjp in enumerate(conv_vjps):
             dxi, conv_g = vjp(dfeats[:, i])
             grads[f"branch{i}.weight"] = conv_g["weight"]
-            dx = dx + dxi.data
-        return _wrap(dx), grads
+            dx = dx + dxi
+        return dx, grads
 
     return GradPair(out, backward)
 

@@ -64,7 +64,10 @@ def _as_shape(shape: Shape | Sequence[int]) -> Shape:
 
 
 class NonFiniteError(ValueError):
-    """An array that must be finite holds NaN or Inf."""
+    """An array that must be finite holds NaN or Inf; a network run sets `layer` and `phase`."""
+
+    layer: str | None = None
+    phase: str | None = None
 
 
 class Tensor:

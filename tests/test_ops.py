@@ -96,9 +96,9 @@ class TestConv2d:
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
         assert not np.shares_memory(out, x.data)
         dy = rng.standard_normal(out.shape)
-        dx, grads = gp.backward(Tensor(dy))
+        dx, grads = gp.backward(dy)
         ref_dx, ref_dw = ops._conv_rows(x.data, w, groups, stride, 0)[1](dy)
-        np.testing.assert_allclose(dx.data, ref_dx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grads["weight"], ref_dw, rtol=0, atol=1e-12)
 
 
@@ -155,8 +155,6 @@ class TestLinear:
         gp = ops.linear(x, p)
         p.weight = p.weight * 3.0
         got = gp.backward(dy)[0]
-        if tensor_in:
-            got, want = got.data, want.data
         assert np.array_equal(got, want)
 
 
@@ -233,11 +231,11 @@ class TestBatchNorm:
         p = BatchNormParams.init(3)
         p.gamma[:] = rng.uniform(0.5, 1.5, 3)
         x = Tensor(rng.standard_normal((2, 3, 4, 4)))
-        dy = Tensor(rng.standard_normal(x.shape))
-        want = ops.batch_norm(x, p, training).backward(dy)[0].data
+        dy = rng.standard_normal(x.shape)
+        want = ops.batch_norm(x, p, training).backward(dy)[0]
         gp = ops.batch_norm(x, p, training)
         p.gamma = p.gamma * 3.0
-        assert np.array_equal(gp.backward(dy)[0].data, want)
+        assert np.array_equal(gp.backward(dy)[0], want)
 
     def test_backward_uses_forward_running_stats(self, rng):
         """A training forward between an eval forward and its backward
@@ -251,13 +249,13 @@ class TestBatchNorm:
             return p
 
         x = Tensor(rng.standard_normal((2, 3, 4, 4)))
-        dy = Tensor(rng.standard_normal(x.shape))
+        dy = rng.standard_normal(x.shape)
         dx, grads = ops.batch_norm(x, params(), False).backward(dy)
         p = params()
         gp = ops.batch_norm(x, p, False)
         ops.batch_norm(Tensor(rng.standard_normal(x.shape) + 5.0), p, True)
         got_dx, got_grads = gp.backward(dy)
-        assert np.array_equal(got_dx.data, dx.data)
+        assert np.array_equal(got_dx, dx)
         assert all(np.array_equal(got_grads[k], grads[k]) for k in ("gamma", "beta"))
 
     @pytest.mark.parametrize("training", [True, False])
@@ -278,7 +276,7 @@ class TestBatchNorm:
         np.testing.assert_allclose(gp.output.data, want, rtol=0, atol=1e-12 * np.abs(want).max())
         dy = rng.standard_normal(x.shape)
         want_dx = naive_batch_norm_dx(dy, x, p.gamma, mean, var, p.eps, training)
-        got_dx = gp.backward(Tensor(dy))[0].data
+        got_dx = gp.backward(dy)[0]
         np.testing.assert_allclose(got_dx, want_dx, rtol=0, atol=1e-12 * np.abs(want_dx).max())
 
 
@@ -351,8 +349,8 @@ class TestNarrowingConv:
             ref_dx, ref_dw = ops._conv_im2col(x[:n], w, g, stride, pad)[1](dy)
             np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=1e-12)
             np.testing.assert_allclose(dw, ref_dw, rtol=0, atol=1e-12)
-            got_dx, grads = gp.backward(Tensor(dy))
-            assert np.array_equal(got_dx.data, dx) and np.array_equal(grads["weight"], dw)
+            got_dx, grads = gp.backward(dy)
+            assert np.array_equal(got_dx, dx) and np.array_equal(grads["weight"], dw)
 
     def test_padding_wider_than_kernel(self, rng):
         x = rng.standard_normal((2, 8, 5, 4))
@@ -371,7 +369,7 @@ class TestNarrowingConv:
         x = Tensor(rng.standard_normal((2, cin, 6, 6)))
         whole = ops.conv2d(x, p)
         dy = rng.standard_normal(whole.output.shape)
-        dx, grads = whole.backward(Tensor(dy))
+        dx, grads = whole.backward(dy)
         cg, og = cin // g, cout // g
         outs, dxs, dws = [], [], []
         for i in range(g):
@@ -379,12 +377,12 @@ class TestNarrowingConv:
             sub_p = Conv2dParams(cg, og, k, padding=4, groups=1, weight=sub_w)
             sub_x = Tensor(x.data[:, i * cg : (i + 1) * cg].copy())
             sub = ops.conv2d(sub_x, sub_p)
-            sub_dx, sub_grads = sub.backward(Tensor(dy[:, i * og : (i + 1) * og].copy()))
+            sub_dx, sub_grads = sub.backward(dy[:, i * og : (i + 1) * og].copy())
             outs.append(sub.output.data)
-            dxs.append(sub_dx.data)
+            dxs.append(sub_dx)
             dws.append(sub_grads["weight"])
         assert np.array_equal(whole.output.data, np.concatenate(outs, axis=1))
-        assert np.array_equal(dx.data, np.concatenate(dxs, axis=1))
+        assert np.array_equal(dx, np.concatenate(dxs, axis=1))
         assert np.array_equal(grads["weight"], np.concatenate(dws, axis=0))
 
 

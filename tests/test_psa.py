@@ -235,14 +235,14 @@ class TestCanonicalBackward:
         x = rng.standard_normal((2, 64, 8, 8))
         gp = psa_with_grad(Tensor(x), layer.p)
         w = rng.standard_normal(gp.output.shape)
-        dx, grads = gp.backward(Tensor(w))
+        dx, grads = gp.backward(w)
 
         def objective(xa):
             return float((psa_with_grad(Tensor(xa), layer.p).output.data * w).sum())
 
         v = rng.standard_normal(x.shape)
         fd = (objective(x + self.EPS * v) - objective(x - self.EPS * v)) / (2 * self.EPS)
-        assert abs(np.vdot(dx.data, v) - fd) <= 1e-7 * abs(fd)
+        assert abs(np.vdot(dx, v) - fd) <= 1e-7 * abs(fd)
 
         for key in ("branch3.weight", "se.fc0.weight"):
             base = layer.params()[key].copy()
