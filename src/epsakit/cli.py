@@ -1,8 +1,9 @@
 """Command-line surface: describe, complexity, gradcheck, train-toy, ablation.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
-failure (a failed gradient check or a diverged training run). All
-subcommands are deterministic given flags and seed.
+failure (a failed gradient check, a diverged training run, or NaN/Inf in
+a forward or backward pass). All subcommands are deterministic given
+flags and seed.
 
 EPSAKIT_THREADS (>= 1) caps worker parallelism; the current implementation
 executes sequentially, which satisfies any cap.
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import complexity, defaults, gradcheck, models, training
-from .tensor import Tensor, random_uniform
+from .tensor import NonFiniteError, random_uniform
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -214,6 +215,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as err:
         print(f"error: {err.args[0]}", file=sys.stderr)
         return EXIT_USAGE
+    except NonFiniteError as err:  # a ValueError, so caught first
+        print(f"error: {err} (layer {err.layer}, phase {err.phase})", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

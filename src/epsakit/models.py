@@ -4,12 +4,20 @@ Networks are trees of `Layer` objects. Every layer implements
 
     apply(x, training) -> (y, vjp)   vjp(dy) -> (dx, {param_name: grad})
 
-and says what it is made of in one of two ways. A composite (`Bottleneck`,
-`Network`) lists its named `children()` in the order its forward runs
-them, and runs them with the one chain runner `_chain`. A leaf lists its
-parameter `slots()`: name -> (owner, attribute) of the array it reads
-(batch norm also lists its running statistics in `state_slots()`).
-Everything else derives from those lists, in `Layer`:
+x and y are Tensors; dy, dx and the gradients are plain ndarrays. When
+`training` is false, a composite returns vjp=None and keeps no closure, so
+an eval forward frees each activation once the next layer has read it (a
+leaf still returns its op's backward, which the chain drops). The chain
+checks each child's dx for NaN/Inf once. A NonFiniteError from either
+pass gets `layer`, the dotted name of the layer that failed, prefixed at
+each level it passes up, and `phase`, "forward" or "backward".
+
+Every layer also says what it is made of in one of two ways. A composite
+(`Bottleneck`, `Network`) lists its named `children()` in the order its
+forward runs them, and runs them with the one chain runner `_chain`. A
+leaf lists its parameter `slots()`: name -> (owner, attribute) of the
+array it reads (batch norm also lists its running statistics in
+`state_slots()`). Everything else derives from those lists, in `Layer`:
 
     params()       {dotted name: array}, in forward order
     set_param()    replace one parameter; the new value must keep its shape

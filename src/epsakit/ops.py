@@ -5,6 +5,14 @@ closure mapping an upstream gradient to (input gradient, parameter
 gradients). Backwards are hand-derived and validated against the central
 finite-difference oracle that also lives here.
 
+Forward values are `Tensor`s: read-only, and checked finite as each op
+wraps its output, so NaN or Inf raises `NonFiniteError` where it first
+appears. Gradients are plain float64 ndarrays: a backward takes dy with
+the output's shape and returns dx with the input's shape, unwrapped and
+unchecked (the layer chain in `models` checks each layer's dx once), and
+parameter gradients are ndarrays keyed by parameter name. A GradPair
+unpacks as (output, backward).
+
 Batch norm and relu allocate their output and nothing else that scales
 with the activation: batch norm is one per-channel affine pass (out =
 x*scale, then out += shift), and its backward rebuilds the normalized

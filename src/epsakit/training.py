@@ -71,7 +71,23 @@ class ToyDataset:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss or an activation becomes non-finite."""
+    """A training run went non-finite; callers read the fields, not the message.
+
+    `step` is the step that failed (the step count, at the final
+    evaluation). `phase` is "forward", "backward", "loss" or "update".
+    `layer` is the dotted name of the layer whose output or input gradient
+    went non-finite, of the parameter the update made non-finite, or None
+    for the loss. `last_finite_loss` is the last finite loss the run saw,
+    None if it failed before its first. A NonFiniteError is the __cause__.
+    """
+
+    def __init__(self, step: int, phase: str, layer: str | None, last_finite_loss: float | None):
+        where = f" in {layer}" if layer else ""
+        super().__init__(
+            f"non-finite {phase} at step {step}{where} (last finite loss {last_finite_loss})"
+        )
+        self.step, self.phase, self.layer = step, phase, layer
+        self.last_finite_loss = last_finite_loss
 
 
 def label_smoothed_ce(logits: np.ndarray, labels: np.ndarray, alpha: float):
@@ -184,7 +200,9 @@ def evaluate(model: Model, dataset: ToyDataset, alpha: float = 0.0):
 def train(model: Model, dataset: ToyDataset, cfg: TrainConfig) -> TrainingHistory:
     """Minibatch SGD; deterministic for a fixed seed.
 
-    Raises TrainingDiverged on a non-finite loss or activation.
+    Raises TrainingDiverged on a non-finite activation, gradient, loss or
+    parameter update; an update that would make any parameter non-finite
+    rebinds none of them.
     """
     if model.spec.num_classes != dataset.num_classes:
         raise ValueError(
@@ -200,6 +218,7 @@ def train(model: Model, dataset: ToyDataset, cfg: TrainConfig) -> TrainingHistor
     history = TrainingHistory()
     state: dict[str, np.ndarray] | None = None
     step = 0
+    last_loss = None
     # A diverging run overflows before the finiteness check trips; the
     # warnings are expected noise on that path.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -214,12 +233,16 @@ def train(model: Model, dataset: ToyDataset, cfg: TrainConfig) -> TrainingHistor
                     logits, vjp = model.net.apply(xb, training=True)
                     loss, dlogits = label_smoothed_ce(logits, yb, cfg.label_smoothing)
                     if not np.isfinite(loss):
-                        raise TrainingDiverged(f"non-finite loss at step {step}")
+                        raise TrainingDiverged(step, "loss", None, last_loss)
+                    last_loss = loss
                     _, grads = vjp(dlogits)
                 except NonFiniteError as err:
-                    raise TrainingDiverged(f"non-finite values at step {step}: {err}") from err
+                    raise TrainingDiverged(step, err.phase, err.layer, last_loss) from err
                 params = model.net.params()
                 new_params, state = sgd_step(params, grads, state, cfg, lr=lr, no_decay=no_decay)
+                for name, value in new_params.items():
+                    if not np.isfinite(value).all():
+                        raise TrainingDiverged(step, "update", name, last_loss)
                 for name, value in new_params.items():
                     model.net.set_param(name, value)
                 hits = int((logits.argmax(axis=1) == yb).sum())
@@ -239,7 +262,7 @@ def train(model: Model, dataset: ToyDataset, cfg: TrainConfig) -> TrainingHistor
         try:
             final_loss, final_acc = evaluate(model, dataset, cfg.label_smoothing)
         except NonFiniteError as err:
-            raise TrainingDiverged(f"non-finite values at final evaluation: {err}") from err
+            raise TrainingDiverged(step, err.phase, err.layer, last_loss) from err
     initial_loss = history.steps[0]["loss"]
     mean_losses = [e["mean_loss"] for e in history.epochs]
     history.summary = {

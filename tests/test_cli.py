@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from epsakit import models, training
 from epsakit.cli import main
 from epsakit.models import build_from_config, config_to_spec
 
@@ -167,6 +168,19 @@ class TestTrainToy:
         assert code == 3
         assert "diverged" in err
 
+    def test_non_finite_update_exit_3(self, capsys, monkeypatch):
+        real = training.sgd_step
+
+        def poisoned(params, grads, state, cfg, **kwargs):
+            new, state = real(params, grads, state, cfg, **kwargs)
+            new["stem.conv.weight"] = np.full_like(new["stem.conv.weight"], np.inf)
+            return new, state
+
+        monkeypatch.setattr(training, "sgd_step", poisoned)
+        code, out, err = run(capsys, "train-toy", "--epochs", "1")
+        assert code == 3 and out == ""
+        assert "update" in err and "stem.conv.weight" in err
+
 
 class TestAblation:
     def test_rows_and_flags(self, capsys):
@@ -180,6 +194,21 @@ class TestAblation:
         assert len(defaults) == 1 and defaults[0]["groups"] == [1, 4, 8, 16]
         params = {tuple(r["groups"]): r["params"] for r in rows}
         assert params[(16, 16, 16, 16)] < params[(4, 8, 16, 16)] < params[(1, 4, 8, 16)]
+
+
+class TestNonFiniteExit:
+    def test_non_finite_forward_exit_3(self, capsys, monkeypatch):
+        real = models.forward
+
+        def forward(model, x):
+            name = "layer2.0.bn2.gamma"
+            model.net.set_param(name, np.full_like(model.net.params()[name], np.nan))
+            return real(model, x)
+
+        monkeypatch.setattr(models, "forward", forward)
+        code, out, err = run(capsys, "ablation")
+        assert code == 3 and out == ""
+        assert "layer2.0.bn2" in err and "forward" in err
 
 
 class TestOutputFile:

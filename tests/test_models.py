@@ -1,11 +1,12 @@
 """Block and network builders: shapes, structure, config round-trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from epsakit import models
+from epsakit import defaults, models
 from epsakit.models import (
     BlockSpec,
     build_block,
@@ -18,7 +19,7 @@ from epsakit.models import (
     spec_to_config,
 )
 from epsakit.psa import PsaConfig
-from epsakit.tensor import Tensor, random_uniform
+from epsakit.tensor import NonFiniteError, Tensor, random_uniform
 
 
 def small_epsa_block_spec(mid=8, out=32):
@@ -274,3 +275,40 @@ class TestLayerProtocol:
         decay = net.decay_names()
         for name in net.params():
             assert (name in decay) == name.endswith(".weight"), name
+
+
+class TestEvalKeepsNothing:
+    """An eval forward builds no backward: nothing holds every activation
+    until the logits return."""
+
+    @staticmethod
+    def toy_net():
+        return build_toy_epsanet(num_classes=4, **defaults.TOY_MODEL).net
+
+    def test_eval_apply_returns_no_vjp(self):
+        logits, vjp = self.toy_net().apply(random_uniform((2, 3, 32, 32), seed=0), training=False)
+        assert vjp is None and logits.shape == (2, 4)
+
+    def test_eval_forward_peak_budget(self):
+        net = self.toy_net()
+        x = random_uniform((8, 3, 64, 64), seed=0)
+        _, rows = net.complexity(x.shape)
+        largest = 8 * max(int(np.prod(r.output_shape)) for r in rows)
+        net.forward(x)
+        tracemalloc.start()
+        try:
+            net.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * largest
+
+
+class TestNonFiniteNaming:
+    def test_forward_failure_names_the_layer(self):
+        net = build_toy_epsanet(num_classes=4, **defaults.TOY_MODEL).net
+        name = "layer2.0.downsample.bn.beta"
+        net.set_param(name, np.full_like(net.params()[name], np.nan))
+        with pytest.raises(NonFiniteError) as info:
+            net.forward(random_uniform((2, 3, 32, 32), seed=0))
+        assert (info.value.layer, info.value.phase) == ("layer2.0.downsample.bn", "forward")

@@ -282,3 +282,67 @@ def test_divergence_caused_by_non_finite_error():
     with pytest.raises(TrainingDiverged) as info:
         train(model, ds, cfg)
     assert isinstance(info.value.__cause__, NonFiniteError)
+
+
+class TestDivergenceReport:
+    """TrainingDiverged names the step, the phase, the layer and the last finite loss."""
+
+    def test_nan_parameter_named_in_forward(self):
+        model, ds, cfg = tiny_setup()
+        name = "layer2.0.bn2.gamma"
+        model.net.set_param(name, np.full_like(model.net.params()[name], np.nan))
+        with pytest.raises(TrainingDiverged) as info:
+            train(model, ds, cfg)
+        err = info.value
+        assert (err.step, err.phase, err.layer, err.last_finite_loss) == (0, "forward", "layer2.0.bn2", None)
+        assert isinstance(err.__cause__, NonFiniteError)
+
+    def test_nan_gradient_named_in_backward(self):
+        model, ds, cfg = tiny_setup()
+        bn = dict(dict(model.net.children())["layer1.0"].children())["bn1"]
+
+        def apply(x, training):
+            y, vjp = models.BatchNorm.apply(bn, x, training)
+            return y, lambda dy: (np.full(x.shape, np.nan), vjp(dy)[1])
+
+        bn.apply = apply
+        with pytest.raises(TrainingDiverged) as info:
+            train(model, ds, cfg)
+        err = info.value
+        assert (err.step, err.phase, err.layer) == (0, "backward", "layer1.0.bn1")
+        assert np.isfinite(err.last_finite_loss)
+
+    def test_reports_step_and_last_finite_loss(self, monkeypatch):
+        losses = []
+
+        def recording(logits, labels, alpha):
+            loss, grad = label_smoothed_ce(logits, labels, alpha)
+            losses.append(loss)
+            return loss, grad
+
+        monkeypatch.setattr(training, "label_smoothed_ce", recording)
+        model, ds, _ = tiny_setup()
+        with pytest.raises(TrainingDiverged) as info:
+            train(model, ds, TrainConfig(lr=1e12, batch_size=8, epochs=3, seed=3))
+        err = info.value
+        assert (err.step, err.phase) == (len(losses), "forward") and err.step > 0
+        assert err.last_finite_loss == losses[-1] and np.isfinite(losses[-1])
+        assert err.layer.startswith("layer")
+
+    def test_non_finite_update_rebinds_nothing(self, monkeypatch):
+        name = "layer2.0.conv3.weight"
+
+        def poisoned(params, grads, state, cfg, **kwargs):
+            new, state = sgd_step(params, grads, state, cfg, **kwargs)
+            new[name] = np.full_like(new[name], np.inf)
+            return new, state
+
+        monkeypatch.setattr(training, "sgd_step", poisoned)
+        model, ds, cfg = tiny_setup()
+        before = {k: v.copy() for k, v in model.net.params().items()}
+        with pytest.raises(TrainingDiverged) as info:
+            train(model, ds, cfg)
+        err = info.value
+        assert (err.step, err.phase, err.layer) == (0, "update", name)
+        assert np.isfinite(err.last_finite_loss)
+        assert all(np.array_equal(v, before[k]) for k, v in model.net.params().items())
