@@ -166,17 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complexity", help="parameter/FLOP report, or a comparison for several models")
     p.add_argument("models", nargs="+", help="canonical model names")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output")
-    p.add_argument("--seed", type=int, default=0)
+    common(p, model_arg=False)
     p.add_argument("--input-size", type=int, default=224)
     p.set_defaults(func=cmd_complexity)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")
     p.add_argument("scope", choices=gradcheck.SCOPES)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output")
-    p.add_argument("--seed", type=int, default=0)
+    common(p, model_arg=False)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="overfit the frozen toy fixture")
@@ -190,9 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("ablation", help="group-size ablation configurations, complexity and smoke forward")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output")
-    p.add_argument("--seed", type=int, default=0)
+    common(p, model_arg=False)
     p.add_argument("--input-size", type=int, default=224)
     p.set_defaults(func=cmd_ablation)
 

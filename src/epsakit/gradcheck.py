@@ -1,9 +1,17 @@
 """Finite-difference verification of every analytic backward pass.
 
-Each check builds a scalar objective sum(w * op(x)) with fixed random
-weights, compares the closed-form gradient against central differences,
-and reports the max element-wise relative error (denominator clamped at
-1e-8). Shared by the test suite and the `gradcheck` CLI subcommand.
+Every check goes through one routine, `_Suite.check(name, apply, x, layer,
+keys)`. `apply` maps a Tensor to (y, vjp), as an op's GradPair and a
+layer's `apply` both do. The routine builds the scalar objective
+sum(w * y) with fixed random weights w, drawn afresh for each gradient,
+and compares the closed-form gradient against central differences: first
+the input's, recorded as `name.input`, then that of each parameter in
+`keys`, recorded as `name.<key>`. A parameter is read through
+`layer.params()`, perturbed through `layer.set_param` and restored
+bitwise afterwards. Each check reports the max element-wise relative error
+(denominator clamped at 1e-8). Only the softmax across scales, which works
+on a raw 5-D array, is checked outside the routine. Shared by the test
+suite and the `gradcheck` CLI subcommand.
 
 Setting the environment variable EPSAKIT_GRADCHECK_CORRUPT=1 perturbs the
 first analytic gradient, which must make the suite fail; the CLI failure
@@ -19,9 +27,9 @@ import numpy as np
 
 from . import ops
 from .defaults import GRADCHECK_EPSILON as EPSILON, GRADCHECK_TOLERANCE as TOLERANCE
-from .models import BlockSpec, GlobalAvgPool, Psa, build_block
-from .psa import PsaConfig, psa_with_grad
-from .tensor import Tensor, _wrap
+from .models import BatchNorm, BlockSpec, Conv, GlobalAvgPool, Layer, Linear, MaxPool, Psa, build_block
+from .psa import PsaConfig
+from .tensor import Tensor
 
 __all__ = ["CheckResult", "run_suite", "report_text", "TOLERANCE", "EPSILON", "SCOPES"]
 
@@ -59,105 +67,78 @@ class _Suite:
         err = ops.max_relative_error(analytic, numeric)
         self.results.append(CheckResult(name, err))
 
-    def check_input_grad(self, name: str, op, x: Tensor) -> None:
-        """op: Tensor -> GradPair with a Tensor output."""
-        w = self._weights(op(x).output.shape)
+    def check(self, name: str, apply, x: Tensor, layer: Layer | None = None, keys=()) -> None:
+        """Check the gradient of apply (Tensor -> (y, vjp)) at x with respect
+        to x, then to each of layer's parameters named in keys."""
+        y, vjp = apply(x)
 
-        def f(t: Tensor) -> float:
-            return float((op(t).output.data * w).sum())
+        def objective(t: Tensor, w: np.ndarray) -> float:
+            out, _ = apply(t)
+            return float((out.data * w).sum())
 
-        gp = op(x)
-        dx, _ = gp.backward(w)
-        fd = ops.finite_difference_gradient(f, x, EPSILON)
-        self._record(name, dx, fd)
+        w = self._weights(y.shape)
+        dx, _ = vjp(w)
+        fd = ops.finite_difference_gradient(lambda t: objective(t, w), x, EPSILON)
+        self._record(f"{name}.input", dx, fd)
+        for key in keys:
+            w = self._weights(y.shape)
+            _, grads = vjp(w)
+            original = layer.params()[key].copy()
 
-    def check_param_grad(self, name: str, rebuild, x: Tensor, array: np.ndarray, key: str) -> None:
-        """rebuild(arr) -> GradPair for the op with the parameter replaced."""
-        gp = rebuild(array)
-        w = self._weights(gp.output.shape)
-        _, grads = gp.backward(w)
+            def perturbed(a: np.ndarray) -> float:
+                layer.set_param(key, a)
+                return objective(x, w)
 
-        def f(arr: np.ndarray) -> float:
-            return float((rebuild(arr).output.data * w).sum())
-
-        fd = ops.finite_difference_array(f, array, EPSILON)
-        self._record(name, grads[key], fd)
+            fd = ops.finite_difference_array(perturbed, original, EPSILON)
+            layer.set_param(key, original)
+            self._record(f"{name}.{key}", grads[key], fd)
 
 
 def _rand_tensor(rng, shape, low=-1.0, high=1.0) -> Tensor:
     return Tensor(rng.uniform(low, high, size=shape))
 
 
+def _train(layer: Layer):
+    """The layer's apply in training mode, as a Tensor -> (y, vjp) map."""
+    return lambda t: layer.apply(t, True)
+
+
 def _check_ops(s: _Suite) -> None:
     rng = s.rng
 
-    # grouped conv, stride 1: input and weight gradients
-    p = ops.Conv2dParams.init(4, 6, 3, padding=1, groups=2, bias=True, seed=rng)
-    x = _rand_tensor(rng, (2, 4, 5, 5))
-    s.check_input_grad("conv2d.g2.input", lambda t: ops.conv2d(t, p), x)
-    s.check_param_grad(
-        "conv2d.g2.weight",
-        lambda arr: ops.conv2d(x, ops.Conv2dParams(4, 6, 3, 1, 1, 2, _wrap(arr), p.bias)),
-        x, p.weight.data.copy(), "weight",
-    )
-    s.check_param_grad(
-        "conv2d.g2.bias",
-        lambda arr: ops.conv2d(x, ops.Conv2dParams(4, 6, 3, 1, 1, 2, p.weight, arr)),
-        x, p.bias.copy(), "bias",
-    )
+    # grouped conv, stride 1: input, weight and bias gradients
+    conv = Conv(4, 6, 3, padding=1, groups=2, bias=True, rng=rng)
+    s.check("conv2d.g2", _train(conv), _rand_tensor(rng, (2, 4, 5, 5)), conv, ("weight", "bias"))
 
     # strided conv with larger kernel and more groups
-    p2 = ops.Conv2dParams.init(8, 8, 5, stride=2, padding=2, groups=4, seed=rng)
-    x2 = _rand_tensor(rng, (2, 8, 7, 7))
-    s.check_input_grad("conv2d.s2.input", lambda t: ops.conv2d(t, p2), x2)
-    s.check_param_grad(
-        "conv2d.s2.weight",
-        lambda arr: ops.conv2d(x2, ops.Conv2dParams(8, 8, 5, 2, 2, 4, _wrap(arr))),
-        x2, p2.weight.data.copy(), "weight",
-    )
+    conv = Conv(8, 8, 5, stride=2, padding=2, groups=4, rng=rng)
+    s.check("conv2d.s2", _train(conv), _rand_tensor(rng, (2, 8, 7, 7)), conv, ("weight",))
 
     # linear on (N, C, 1, 1)
-    lp = ops.LinearParams.init(6, 4, bias=True, seed=rng)
-    xl = _rand_tensor(rng, (3, 6, 1, 1))
-    s.check_input_grad("linear.input", lambda t: ops.linear(t, lp), xl)
-    s.check_param_grad(
-        "linear.weight",
-        lambda arr: ops.linear(xl, ops.LinearParams(arr, lp.bias)),
-        xl, lp.weight.copy(), "weight",
-    )
+    fc = Linear(6, 4, bias=True, rng=rng)
+    s.check("linear", _train(fc), _rand_tensor(rng, (3, 6, 1, 1)), fc, ("weight",))
 
     # activations; relu inputs kept away from the kink at 0
     xr = Tensor(rng.uniform(0.1, 1.0, size=(2, 3, 4, 4)) * rng.choice([-1.0, 1.0], size=(2, 3, 4, 4)))
-    s.check_input_grad("relu.input", ops.relu, xr)
-    s.check_input_grad("sigmoid.input", ops.sigmoid, _rand_tensor(rng, (2, 3, 4, 4), -3, 3))
+    s.check("relu", ops.relu, xr)
+    s.check("sigmoid", ops.sigmoid, _rand_tensor(rng, (2, 3, 4, 4), -3, 3))
 
     # batch norm, both modes
-    bp = ops.BatchNormParams.init(3)
-    bp.gamma[:] = rng.uniform(0.5, 1.5, 3)
-    bp.beta[:] = rng.uniform(-0.5, 0.5, 3)
+    bn = BatchNorm(3)
+    bn.set_param("gamma", rng.uniform(0.5, 1.5, 3))
+    bn.set_param("beta", rng.uniform(-0.5, 0.5, 3))
     xb = _rand_tensor(rng, (2, 3, 4, 4))
-    s.check_input_grad("batch_norm.train.input", lambda t: ops.batch_norm(t, bp, True), xb)
-    s.check_param_grad(
-        "batch_norm.train.gamma",
-        lambda arr: ops.batch_norm(
-            xb, ops.BatchNormParams(arr, bp.beta, bp.running_mean, bp.running_var), True
-        ),
-        xb, bp.gamma.copy(), "gamma",
-    )
-    be = ops.BatchNormParams.init(3)
-    be.running_mean[:] = rng.uniform(-0.5, 0.5, 3)
-    be.running_var[:] = rng.uniform(0.5, 2.0, 3)
-    s.check_input_grad("batch_norm.eval.input", lambda t: ops.batch_norm(t, be, False), xb)
+    s.check("batch_norm.train", _train(bn), xb, bn, ("gamma",))
+    bn = BatchNorm(3)
+    bn.state()["running_mean"][:] = rng.uniform(-0.5, 0.5, 3)
+    bn.state()["running_var"][:] = rng.uniform(0.5, 2.0, 3)
+    s.check("batch_norm.eval", lambda t: bn.apply(t, False), xb)
 
     # max pool on well-separated values (no ties within epsilon)
     vals = rng.permutation(np.arange(2 * 3 * 8 * 8, dtype=np.float64)) * 0.01
-    xp = Tensor(vals.reshape(2, 3, 8, 8))
-    s.check_input_grad("max_pool.input", lambda t: ops.max_pool(t, 3, 2, 1), xp)
+    s.check("max_pool", _train(MaxPool(3, 2, 1)), Tensor(vals.reshape(2, 3, 8, 8)))
 
-    # global average pool, through the layer's vjp
-    gap = GlobalAvgPool()
-    xg = _rand_tensor(rng, (2, 4, 5, 5))
-    s.check_input_grad("global_avg_pool.input", lambda t: ops.GradPair(*gap.apply(t, False)), xg)
+    s.check("global_avg_pool", _train(GlobalAvgPool()), _rand_tensor(rng, (2, 4, 5, 5)))
 
     # softmax across scales, checked on the raw 5-D array
     z = rng.uniform(-2, 2, size=(2, 4, 3, 1, 1))
@@ -172,48 +153,38 @@ def _check_ops(s: _Suite) -> None:
     s._record("softmax_over_scales.input", analytic, fd)
 
     # narrowing strided conv: the weight-first strategy and its dilated dx
-    p3 = ops.Conv2dParams.init(8, 2, 5, stride=2, padding=2, groups=2, seed=rng)
-    x3 = _rand_tensor(rng, (2, 8, 7, 7))
-    s.check_input_grad("conv2d.narrow.s2.input", lambda t: ops.conv2d(t, p3), x3)
-    s.check_param_grad(
-        "conv2d.narrow.s2.weight",
-        lambda arr: ops.conv2d(x3, ops.Conv2dParams(8, 2, 5, 2, 2, 2, _wrap(arr))),
-        x3, p3.weight.data.copy(), "weight",
-    )
+    conv = Conv(8, 2, 5, stride=2, padding=2, groups=2, rng=rng)
+    s.check("conv2d.narrow.s2", _train(conv), _rand_tensor(rng, (2, 8, 7, 7)), conv, ("weight",))
 
 
 def _check_psa(s: _Suite) -> None:
     rng = s.rng
-    for tag, cfg, shape in [
-        ("c8", PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2)), (1, 8, 4, 4)),
-        ("c16", PsaConfig(16, 4, (3, 5, 7, 9), (1, 2, 4, 4)), (2, 16, 6, 6)),
-        ("c8s2", PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2), stride=2), (1, 8, 5, 5)),
+    keys = ("branch0.weight", "branch3.weight", "se.fc0.weight", "se.fc1.bias")
+    for tag, cfg, shape, tag_keys in [
+        ("c8", PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2)), (1, 8, 4, 4), keys),
+        ("c16", PsaConfig(16, 4, (3, 5, 7, 9), (1, 2, 4, 4)), (2, 16, 6, 6), ()),
+        ("c8s2", PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2), stride=2), (1, 8, 5, 5), keys),
     ]:
         layer = Psa(cfg, rng)
-        x = _rand_tensor(rng, shape)
-        s.check_input_grad(f"psa.{tag}.input", lambda t, p=layer.p: psa_with_grad(t, p), x)
-        if tag == "c16":
-            continue
-        for key in ("branch0.weight", "branch3.weight", "se.fc0.weight", "se.fc1.bias"):
-            original = layer.params()[key].copy()
-
-            def rebuild(arr, layer=layer, key=key):
-                layer.set_param(key, arr)
-                return psa_with_grad(x, layer.p)
-
-            s.check_param_grad(f"psa.{tag}.{key}", rebuild, x, original, key)
-            layer.set_param(key, original)
+        s.check(f"psa.{tag}", _train(layer), _rand_tensor(rng, shape), layer, tag_keys)
 
 
 def _check_block(s: _Suite) -> None:
+    """Bottlenecks in training mode. The se and resnet blocks run at batch 2:
+    at batch 1 a training-mode bn3 with beta 0 averages to exactly 0, so
+    the SE gradients would vanish and their check would prove nothing."""
     rng = s.rng
-    cfg = PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2))
-    spec = BlockSpec(kind="epsa", mid_channels=8, out_channels=32, psa=cfg)
-    for stride, size in ((1, 6), (2, 4)):
-        block = build_block(spec, in_channels=8, stride=stride, seed=int(rng.integers(2**31)))
-        x = _rand_tensor(rng, (1, 8, size, size))
-        s.check_input_grad(f"epsa_block.s{stride}.input",
-                           lambda t: ops.GradPair(*block.apply(t, training=True)), x)
+    psa = PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2))
+    for kind, batch, keys in [
+        ("epsa", 1, ()),
+        ("se", 2, ("se.fc0.weight", "se.fc1.weight")),
+        ("resnet", 2, ()),
+    ]:
+        spec = BlockSpec(kind=kind, mid_channels=8, out_channels=32, psa=psa if kind == "epsa" else None)
+        for stride, size in ((1, 6), (2, 4)):
+            block = build_block(spec, in_channels=8, stride=stride, seed=int(rng.integers(2**31)))
+            x = _rand_tensor(rng, (batch, 8, size, size))
+            s.check(f"{kind}_block.s{stride}", _train(block), x, block, keys)
 
 
 def run_suite(scope: str, seed: int = 0) -> list[CheckResult]:

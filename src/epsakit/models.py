@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -389,9 +389,7 @@ class Bottleneck(Layer):
             cfg = spec.psa
             if cfg.channels != mid:
                 raise ValueError(f"psa channels {cfg.channels} != mid {mid}")
-            if cfg.stride != stride:
-                cfg = PsaConfig(mid, cfg.scales, cfg.kernels, cfg.groups, cfg.se_reduction, stride)
-            self.conv2 = Psa(cfg, rng)
+            self.conv2 = Psa(replace(cfg, stride=stride), rng)
         else:
             self.conv2 = Conv(mid, mid, 3, stride=stride, padding=1, rng=rng)
         self.conv3 = Conv(mid, out, 1, rng=rng)

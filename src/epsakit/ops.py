@@ -16,10 +16,11 @@ unpacks as (output, backward).
 Batch norm and relu allocate their output and nothing else that scales
 with the activation: batch norm is one per-channel affine pass (out =
 x*scale, then out += shift), and its backward rebuilds the normalized
-input from x; relu keeps only a bool mask. A 1x1 conv at stride 1 without
-padding runs on a view of its input, not an im2col copy, and so keeps
-nothing but its output. Backward closures keep their input by reference,
-which is safe because tensors are read-only.
+input from x; relu keeps only its output, and its backward masks dy
+with y > 0. A 1x1 conv at stride 1 without padding runs on a view of its
+input, not an im2col copy, and so keeps nothing but its output. Backward
+closures keep their input by reference, which is safe because tensors
+are read-only.
 
 Convolutions pick one of two strategies in `_conv`, by one rule:
 
@@ -453,12 +454,12 @@ def linear(x: Tensor | np.ndarray, p: LinearParams) -> GradPair:
 
 
 def relu(x: Tensor) -> GradPair:
-    mask = x.data > 0
+    y = _wrap(np.maximum(x.data, 0.0))
 
     def backward(dy: np.ndarray):
-        return dy * mask, {}
+        return dy * (y.data > 0), {}
 
-    return GradPair(_wrap(np.maximum(x.data, 0.0)), backward)
+    return GradPair(y, backward)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -388,9 +388,9 @@ class TestNarrowingConv:
 
 class TestAllocationBudget:
     """Batch norm and stride-1 1x1 convs allocate their output and nothing
-    else that scales with the activation, and max pool keeps only its
-    output and argmax; these budgets keep a later edit from quietly
-    bringing the temporaries back."""
+    else that scales with the activation, relu keeps only its output, and
+    max pool keeps only its output and argmax; these budgets keep a later
+    edit from quietly bringing the temporaries back."""
 
     @staticmethod
     def traced(fn):
@@ -414,6 +414,11 @@ class TestAllocationBudget:
         p = Conv2dParams.init(64, 256, 1, seed=rng)
         x = Tensor(rng.standard_normal((1, 64, 56, 56)))
         gp, _, held = self.traced(lambda: ops.conv2d(x, p))
+        assert held <= 1.01 * gp.output.data.nbytes
+
+    def test_relu_retains_only_its_output(self, rng):
+        x = Tensor(rng.standard_normal((1, 64, 56, 56)))
+        gp, _, held = self.traced(lambda: ops.relu(x))
         assert held <= 1.01 * gp.output.data.nbytes
 
     def test_max_pool_retains_output_and_argmax(self, rng):
