@@ -152,7 +152,7 @@ def _check_ops(s: _Suite) -> None:
     fd = ops.finite_difference_array(f_sm, z, EPSILON)
     s._record("softmax_over_scales.input", analytic, fd)
 
-    # narrowing strided conv: the weight-first strategy and its dilated dx
+    # narrowing strided conv: the weight-first strategy at stride 2, both passes
     conv = Conv(8, 2, 5, stride=2, padding=2, groups=2, rng=rng)
     s.check("conv2d.narrow.s2", _train(conv), _rand_tensor(rng, (2, 8, 7, 7)), conv, ("weight",))
 

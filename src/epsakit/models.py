@@ -20,7 +20,7 @@ array it reads (batch norm also lists its running statistics in
 `state_slots()`). Everything else derives from those lists, in `Layer`:
 
     params()       {dotted name: array}, in forward order
-    set_param()    replace one parameter; the new value must keep its shape
+    set_param()    replace one parameter with a finite value of its shape
     state()        batch-norm running statistics (not trained)
     decay_names()  the parameters L2 decay applies to: every `*.weight`;
                    biases and batch-norm gamma/beta do not decay
@@ -171,16 +171,24 @@ class Layer:
     def decay_names(self) -> set[str]:
         return {name for name, _ in self._walk() if name.rsplit(".", 1)[-1] == "weight"}
 
-    def set_param(self, name: str, value: np.ndarray) -> None:
-        """Rebind one parameter to a copy of value, which must keep its shape."""
+    def _slot(self, name: str) -> tuple[object, str]:
         for cname, child in self.children():
             if name.startswith(cname + "."):
-                return child.set_param(name[len(cname) + 1:], value)
-        owner, attr = self.slots()[name]
+                return child._slot(name[len(cname) + 1:])
+        return self.slots()[name]
+
+    def set_param(self, name: str, value: np.ndarray) -> None:
+        """Rebind one parameter to a copy of value, which must keep its shape
+        and be finite; a NonFiniteError names the parameter as its `layer`."""
+        owner, attr = self._slot(name)
         old = getattr(owner, attr)
         value = np.array(value, dtype=np.float64)
         if value.shape != old.shape:
             raise ValueError(f"{name}: shape {value.shape} != {old.shape}")
+        if not np.isfinite(value).all():
+            err = NonFiniteError(f"{name} has NaN or Inf")
+            err.layer = name
+            raise err
         setattr(owner, attr, _wrap(value) if isinstance(old, Tensor) else value)
 
     def complexity(self, in_shape) -> tuple[tuple, list[LayerRow]]:

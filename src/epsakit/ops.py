@@ -22,20 +22,22 @@ input, not an im2col copy, and so keeps nothing but its output. Backward
 closures keep their input by reference, which is safe because tensors
 are read-only.
 
+No op pads its input. One edge rule, `_taps`, bounds every conv and pool
+on both axes: a kernel tap reads straight from the input over the output
+span whose inputs lie inside the map, and reads the padding value (zero,
+or -inf for max pool) elsewhere, without a padded copy being built.
+
 Convolutions pick one of two strategies in `_conv`, by one rule:
 
 - A conv that narrows the channels (kernel > 1 and fewer output than input
   channels per group), such as every PSA branch conv (C -> C/4), runs
   weight-first: one matmul against the k input rows each output row reads,
-  then k shifted adds on the narrow output. Only the rows are padded, and
-  each kernel column adds only into the output span whose input columns
-  lie inside the map, so at stride 1 the matmul does exactly the conv's
-  MACs (about twice them at stride 2). Its backward is the adjoint
-  of that forward: two matmuls against the output gradient shifted to
-  each kernel column, one with the row stack for dW, one with the
-  transposed weight for the row-stack gradient, whose k row slabs add
-  back into the input. No buffer k*k times the input is built, and only
-  the row-padded input is kept for the backward.
+  then k shifted adds on the narrow output, so at stride 1 the matmul does
+  exactly the conv's MACs (about twice them at stride 2). Its backward is
+  the adjoint of that forward: two matmuls against the output gradient
+  shifted to each kernel column, one with the row stack for dW, one with
+  the transposed weight for the row-stack gradient, whose k row slabs add
+  back into the input. No buffer k*k times the input is built.
 - Every other conv runs as grouped matmuls over an im2col buffer, with a
   col2im backward.
 
@@ -248,43 +250,51 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, padding: int, pad_value: float = 0.0):
-    """Return (cols, out_h, out_w) with cols shaped (N, C, k, k, Ho, Wo).
+def _taps(k: int, size: int, out: int, s: int, pad: int) -> list[tuple[int, int, slice]]:
+    """The edge rule along one axis: output o reads input s*o + t - pad
+    through kernel tap t. Per tap, (lo, hi, inputs): the output span whose
+    inputs lie inside the map, and those inputs, start == stop if none."""
+    taps = []
+    for t in range(k):
+        lo = min(out, max(0, -((t - pad) // s)))
+        hi = max(lo, min(out, (size - 1 + pad - t) // s + 1))
+        first = s * lo + t - pad
+        taps.append((lo, hi, slice(first, first + s * (hi - lo), s)))
+    return taps
 
-    For a 1x1 kernel at stride 1 without padding, cols is a view of x.
-    """
+
+def _im2col(x: np.ndarray, k: int, stride: int, padding: int, pad_value: float = 0.0):
+    """Return (cols, out_h, out_w) with cols shaped (N, C, k, k, Ho, Wo);
+    only the cells outside each tap's span hold pad_value. For a 1x1
+    kernel at stride 1 without padding, cols is a view of x."""
     n, c, h, w = x.shape
     ho = conv_output_size(h, k, stride, padding)
     wo = conv_output_size(w, k, stride, padding)
     if k == 1 and stride == 1 and not padding:
         return x[:, :, None, None], ho, wo
-    if padding:
-        xp = np.full((n, c, h + 2 * padding, w + 2 * padding), pad_value)
-        xp[:, :, padding : padding + h, padding : padding + w] = x
-    else:
-        xp = x
     cols = np.empty((n, c, k, k, ho, wo))
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    col_taps = _taps(k, w, wo, stride, padding)
+    for i, (r0, r1, rows) in enumerate(_taps(k, h, ho, stride, padding)):
+        for j, (c0, c1, cs) in enumerate(col_taps):
+            tap = cols[:, :, i, j]
+            tap[:, :, r0:r1, c0:c1] = x[:, :, rows, cs]
+            tap[:, :, :r0] = tap[:, :, r1:] = pad_value
+            tap[:, :, r0:r1, :c0] = tap[:, :, r0:r1, c1:] = pad_value
     return cols, ho, wo
 
 
 def _col2im(dcols: np.ndarray, in_hw: tuple[int, int], k: int, stride: int, padding: int):
-    """Scatter-add the im2col gradient back to input layout."""
+    """Scatter-add each tap's span of the im2col gradient back to x's layout."""
     n, c, _, _, ho, wo = dcols.shape
     h, w = in_hw
     if k == 1 and stride == 1 and not padding:
         return dcols.reshape(n, c, h, w)
-    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
-    for i in range(k):
-        for j in range(k):
-            dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[
-                :, :, i, j
-            ]
-    if padding:
-        return dxp[:, :, padding : padding + h, padding : padding + w]
-    return dxp
+    dx = np.zeros((n, c, h, w))
+    col_taps = _taps(k, w, wo, stride, padding)
+    for i, (r0, r1, rows) in enumerate(_taps(k, h, ho, stride, padding)):
+        for j, (c0, c1, cs) in enumerate(col_taps):
+            dx[:, :, rows, cs] += dcols[:, :, i, j, r0:r1, c0:c1]
+    return dx
 
 
 def _conv(x: np.ndarray, w: np.ndarray, groups: int, stride: int, padding: int):
@@ -324,35 +334,26 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, g: int, s: int, pad: int):
 
     One matmul of the weight, with its k kernel columns as k*Og output
     rows, against the k input rows each output row reads, stacked:
-    (G, k*Og, k*Cg) x (N, G, k*Cg, Ho*W). Only the rows are padded, so the
-    stack holds the W input columns and no padded ones. Then k shifted
-    adds, on the narrow output side, sum the kernel columns: column j adds
-    into the output span [lo, hi) whose input columns s*x + j - pad lie
-    inside the map. The stack is k times the input, not k*k, and lives
-    only inside one call; the backward keeps only the row-padded input and
-    is the adjoint of these steps.
+    (G, k*Og, k*Cg) x (N, G, k*Cg, Ho*W); then k shifted adds on the
+    narrow output sum the kernel columns. Both axes follow the tap rule:
+    kernel row i's slab reads x over its span and is zero elsewhere, and
+    kernel column j adds only into its span. The stack is k times the
+    input, not k*k, and lives only inside one call.
     """
     n, cin, h, wd = x.shape
     cout, cin_g, k, _ = w.shape
     cout_g = cout // g
     ho = conv_output_size(h, k, s, pad)
     wo = conv_output_size(wd, k, s, pad)
-    xp = np.zeros((n, g, cin_g, h + 2 * pad, wd))
-    xp.reshape(n, cin, h + 2 * pad, wd)[:, :, pad : pad + h] = x
-    # Kernel column j: (j, output span [lo, hi), the input columns it reads).
-    # A span is empty when the map is narrower than the kernel reaches.
-    spans = []
-    for j in range(k):
-        lo = max(0, -((j - pad) // s))
-        hi = min(wo, (wd - 1 + pad - j) // s + 1)
-        if lo < hi:
-            c0 = s * lo + j - pad
-            spans.append((j, lo, hi, slice(c0, c0 + s * (hi - lo) - s + 1, s)))
+    xg = x.reshape(n, g, cin_g, h, wd)
+    row_taps = _taps(k, h, ho, s, pad)
+    col_taps = _taps(k, wd, wo, s, pad)
 
     def row_stack() -> np.ndarray:
         stack = np.empty((n, g, k, cin_g, ho, wd))
-        for i in range(k):
-            stack[:, :, i] = xp[:, :, :, i : i + s * ho : s]
+        for i, (lo, hi, rows) in enumerate(row_taps):
+            stack[:, :, i, :, lo:hi] = xg[:, :, :, rows]
+            stack[:, :, i, :, :lo] = stack[:, :, i, :, hi:] = 0.0
         return stack.reshape(n, g, k * cin_g, ho * wd)
 
     # (G, O, C, i, j) -> (G, j*Og + o, i*Cg + c)
@@ -360,7 +361,7 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, g: int, s: int, pad: int):
     z = np.matmul(w_cols.reshape(g, k * cout_g, k * cin_g), row_stack())
     z = z.reshape(n, g, k, cout_g, ho, wd)
     out = np.zeros((n, g, cout_g, ho, wo))
-    for j, lo, hi, cols in spans:
+    for j, (lo, hi, cols) in enumerate(col_taps):
         out[..., lo:hi] += z[:, :, j, :, :, cols]
 
     def vjp(d: np.ndarray):
@@ -368,20 +369,20 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, g: int, s: int, pad: int):
         # column's input columns, times the row stack.
         shifted = np.zeros((n, g, k, cout_g, ho, wd))
         dg = d.reshape(n, g, cout_g, ho, wo)
-        for j, lo, hi, cols in spans:
+        for j, (lo, hi, cols) in enumerate(col_taps):
             shifted[:, :, j, :, :, cols] = dg[..., lo:hi]
         shifted = shifted.reshape(n, g, k * cout_g, ho * wd)
         dw = np.matmul(shifted, row_stack().transpose(0, 1, 3, 2)).sum(axis=0)
         dw = dw.reshape(g, k, cout_g, k, cin_g).transpose(0, 2, 4, 3, 1).reshape(w.shape)
         # dx is the adjoint too: the weight transposed, times the same
-        # shifted dy, gives the row-stack gradient; its k row slabs add
-        # back into the row-padded input.
+        # shifted dy, gives the row-stack gradient; each row slab's span
+        # adds back into the input rows it read.
         dstack = np.matmul(w_cols.reshape(g, k * cout_g, k * cin_g).transpose(0, 2, 1), shifted)
         dstack = dstack.reshape(n, g, k, cin_g, ho, wd)
-        dxp = np.zeros_like(xp)
-        for i in range(k):
-            dxp[:, :, :, i : i + s * ho : s] += dstack[:, :, i]
-        return dxp.reshape(n, cin, h + 2 * pad, wd)[:, :, pad : pad + h], dw
+        dx = np.zeros((n, g, cin_g, h, wd))
+        for i, (lo, hi, rows) in enumerate(row_taps):
+            dx[:, :, :, rows] += dstack[:, :, i, :, lo:hi]
+        return dx.reshape(x.shape), dw
 
     return out.reshape(n, cout, ho, wo), vjp
 

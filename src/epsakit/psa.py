@@ -192,16 +192,7 @@ class PsaParams:
         rng = _rng(seed)
         cp = config.branch_channels
         convs = [
-            Conv2dParams.init(
-                config.channels,
-                cp,
-                k,
-                stride=config.stride,
-                padding=(k - 1) // 2,
-                groups=g,
-                bias=False,
-                seed=rng,
-            )
+            Conv2dParams.init(config.channels, cp, k, config.stride, (k - 1) // 2, g, seed=rng)
             for k, g in zip(config.kernels, config.groups)
         ]
         return cls(config, convs, SeWeightParams.init(cp, config.se_reduction, rng))

@@ -250,6 +250,18 @@ class TestLayerProtocol:
         with pytest.raises(KeyError):
             net.set_param(name, np.zeros(1))
 
+    @pytest.mark.parametrize("name", ["fc.weight", "layer1.0.bn1.gamma", "layer1.0.conv1.weight"])
+    def test_set_param_rejects_non_finite(self, name):
+        net = build_toy_epsanet(seed=0).net
+        before = net.params()
+        saved = {k: v.copy() for k, v in before.items()}
+        with pytest.raises(NonFiniteError) as info:
+            net.set_param(name, np.full_like(before[name], np.nan))
+        assert info.value.layer == name
+        after = net.params()
+        for k, v in after.items():
+            assert v is before[k] and np.array_equal(v, saved[k]), k
+
     def test_every_param_round_trips(self):
         net = build_toy_epsanet(seed=0).net
         for i, (name, value) in enumerate(net.params().items()):
@@ -308,7 +320,7 @@ class TestNonFiniteNaming:
     def test_forward_failure_names_the_layer(self):
         net = build_toy_epsanet(num_classes=4, **defaults.TOY_MODEL).net
         name = "layer2.0.downsample.bn.beta"
-        net.set_param(name, np.full_like(net.params()[name], np.nan))
+        net.params()[name][...] = np.nan  # set_param would refuse it
         with pytest.raises(NonFiniteError) as info:
             net.forward(random_uniform((2, 3, 32, 32), seed=0))
         assert (info.value.layer, info.value.phase) == ("layer2.0.downsample.bn", "forward")

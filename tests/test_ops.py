@@ -290,8 +290,9 @@ class TestMaxPool:
         x = Tensor(np.zeros((1, 1, 112, 112)))
         assert ops.max_pool(x, 3, 2, 1).output.shape == (1, 1, 56, 56)
 
-    def test_matches_loop_oracle(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 7, 9)))
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 3), (7, 9)], ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    def test_matches_loop_oracle(self, rng, hw):
+        x = Tensor(rng.standard_normal((2, 3) + hw))
         got = ops.max_pool(x, 3, 2, 1).output.data
         np.testing.assert_allclose(got, naive_max_pool(x.data, 3, 2, 1), atol=0)
 
@@ -386,11 +387,46 @@ class TestNarrowingConv:
         assert np.array_equal(grads["weight"], np.concatenate(dws, axis=0))
 
 
+# (kernel, groups, in, out, map, padding): every PSA branch conv on maps of
+# 1x1, 2x2 and 3x5, then a 3x3 conv with pad 1, a 7x7 conv with pad 3 on a
+# map narrower than 7, and a pad wider than the kernel reaches.
+ADJOINT_CASES = [
+    pytest.param(*c, hw, (c[0] - 1) // 2, id="-".join(map(str, c)) + f"-{hw[0]}x{hw[1]}")
+    for c in PSA_BRANCH_CONVS
+    for hw in [(1, 1), (2, 2), (3, 5)]
+] + [
+    pytest.param(3, 1, 4, 6, (5, 6), 1, id="k3-pad1"),
+    pytest.param(7, 1, 3, 4, (6, 5), 3, id="k7-pad3-5wide"),
+    pytest.param(3, 2, 4, 2, (5, 4), 4, id="k3-pad4"),
+]
+
+
+class TestConvAdjoint:
+    """Each conv strategy's backward is the adjoint of the naive loop conv:
+    <dy, conv(v, w)> = <dx, v> and <dy, conv(x, u)> = <dW, u>. The oracle
+    shares no edge handling with either strategy."""
+
+    @pytest.mark.parametrize("strategy", ["_conv_rows", "_conv_im2col"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k,g,cin,cout,hw,pad", ADJOINT_CASES)
+    def test_backward_is_adjoint(self, rng, strategy, k, g, cin, cout, hw, pad, stride):
+        x, v = rng.standard_normal((2, 2, cin) + hw)
+        w, u = rng.standard_normal((2, cout, cin // g, k, k))
+        out, vjp = getattr(ops, strategy)(x, w, g, stride, pad)
+        dy = rng.standard_normal(out.shape)
+        dx, dw = vjp(dy)
+        for want, got in [
+            (np.vdot(dy, naive_conv2d(v, w, None, stride, pad, g)), np.vdot(dx, v)),
+            (np.vdot(dy, naive_conv2d(x, u, None, stride, pad, g)), np.vdot(dw, u)),
+        ]:
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
 class TestAllocationBudget:
     """Batch norm and stride-1 1x1 convs allocate their output and nothing
-    else that scales with the activation, relu keeps only its output, and
-    max pool keeps only its output and argmax; these budgets keep a later
-    edit from quietly bringing the temporaries back."""
+    else that scales with the activation, relu and the narrowing conv keep
+    only their output, and max pool keeps only its output and argmax; these
+    budgets keep a later edit from quietly bringing the temporaries back."""
 
     @staticmethod
     def traced(fn):
@@ -425,3 +461,16 @@ class TestAllocationBudget:
         x = Tensor(rng.standard_normal((1, 64, 112, 112)))
         gp, _, held = self.traced(lambda: ops.max_pool(x, 3, 2, 1))
         assert held <= 2.1 * gp.output.data.nbytes
+
+    @pytest.mark.parametrize("k,g", [(3, 1), (9, 16)], ids=["k3g1", "k9g16"])
+    def test_narrowing_conv_retains_only_its_output(self, rng, k, g):
+        pad = (k - 1) // 2
+        p = Conv2dParams.init(64, 16, k, padding=pad, groups=g, seed=rng)
+        x = Tensor(rng.standard_normal((1, 64, 56, 56)))
+        gp, _, held = self.traced(lambda: ops.conv2d(x, p))
+        assert held <= 1.02 * gp.output.data.nbytes
+        # Neither strategy's dx is a view into a larger (padded) buffer.
+        dy = rng.standard_normal(gp.output.shape)
+        im2col_dx, _ = ops._conv_im2col(x.data, p.weight.data, g, 1, pad)[1](dy)
+        for dx in (gp.backward(dy)[0], im2col_dx):
+            assert dx.shape == x.shape and (dx.base is None or dx.base.nbytes == dx.nbytes)
