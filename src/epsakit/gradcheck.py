@@ -12,15 +12,10 @@ bitwise afterwards. Each check reports the max element-wise relative error
 (denominator clamped at 1e-8). Only the softmax across scales, which works
 on a raw 5-D array, is checked outside the routine. Shared by the test
 suite and the `gradcheck` CLI subcommand.
-
-Setting the environment variable EPSAKIT_GRADCHECK_CORRUPT=1 perturbs the
-first analytic gradient, which must make the suite fail; the CLI failure
-path is tested through this hook.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,23 +42,15 @@ class CheckResult:
         return self.max_rel_error < self.tolerance
 
 
-def _corrupt_enabled() -> bool:
-    return os.environ.get("EPSAKIT_GRADCHECK_CORRUPT", "") == "1"
-
-
 class _Suite:
     def __init__(self, seed: int):
         self.rng = np.random.Generator(np.random.PCG64(seed))
         self.results: list[CheckResult] = []
-        self._corrupted = not _corrupt_enabled()
 
     def _weights(self, shape) -> np.ndarray:
         return self.rng.uniform(0.5, 1.5, size=shape)
 
     def _record(self, name: str, analytic, numeric) -> None:
-        if not self._corrupted:
-            analytic = analytic + 1e-2  # test hook: force a failure once per suite
-            self._corrupted = True
         err = ops.max_relative_error(analytic, numeric)
         self.results.append(CheckResult(name, err))
 

@@ -13,19 +13,19 @@ unchecked (the layer chain in `models` checks each layer's dx once), and
 parameter gradients are ndarrays keyed by parameter name. A GradPair
 unpacks as (output, backward).
 
-Batch norm and relu allocate their output and nothing else that scales
-with the activation: batch norm is one per-channel affine pass (out =
-x*scale, then out += shift), and its backward rebuilds the normalized
-input from x; relu keeps only its output, and its backward masks dy
-with y > 0. A 1x1 conv at stride 1 without padding runs on a view of its
-input, not an im2col copy, and so keeps nothing but its output. Backward
-closures keep their input by reference, which is safe because tensors
-are read-only.
+Every backward keeps nothing but the op's input, by reference (safe,
+because tensors are read-only), and its own output; anything else it
+needs it rebuilds: batch norm its normalized input, the im2col conv its
+columns and the narrowing conv its row stack. Relu keeps only its output
+and masks dy with y > 0; max pool routes each window's dy to the first
+tap whose input equals the output. After its forward an op so holds its
+output and nothing else that scales with the activation; a 1x1 conv at
+stride 1 without padding runs on a view of its input, not a copy.
 
 No op pads its input. One edge rule, `_taps`, bounds every conv and pool
 on both axes: a kernel tap reads straight from the input over the output
-span whose inputs lie inside the map, and reads the padding value (zero,
-or -inf for max pool) elsewhere, without a padded copy being built.
+span whose inputs lie inside the map, without a padded copy. A conv's
+taps read zero elsewhere; max pool's running maximum starts at -inf.
 
 Convolutions pick one of two strategies in `_conv`, by one rule:
 
@@ -263,24 +263,24 @@ def _taps(k: int, size: int, out: int, s: int, pad: int) -> list[tuple[int, int,
     return taps
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, padding: int, pad_value: float = 0.0):
-    """Return (cols, out_h, out_w) with cols shaped (N, C, k, k, Ho, Wo);
-    only the cells outside each tap's span hold pad_value. For a 1x1
-    kernel at stride 1 without padding, cols is a view of x."""
+def _im2col(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
+    """The input's columns, shaped (N, C, k, k, Ho, Wo); only the cells
+    outside each tap's span hold zero. For a 1x1 kernel at stride 1
+    without padding, a view of x."""
     n, c, h, w = x.shape
     ho = conv_output_size(h, k, stride, padding)
     wo = conv_output_size(w, k, stride, padding)
     if k == 1 and stride == 1 and not padding:
-        return x[:, :, None, None], ho, wo
+        return x[:, :, None, None]
     cols = np.empty((n, c, k, k, ho, wo))
     col_taps = _taps(k, w, wo, stride, padding)
     for i, (r0, r1, rows) in enumerate(_taps(k, h, ho, stride, padding)):
         for j, (c0, c1, cs) in enumerate(col_taps):
             tap = cols[:, :, i, j]
             tap[:, :, r0:r1, c0:c1] = x[:, :, rows, cs]
-            tap[:, :, :r0] = tap[:, :, r1:] = pad_value
-            tap[:, :, r0:r1, :c0] = tap[:, :, r0:r1, c1:] = pad_value
-    return cols, ho, wo
+            tap[:, :, :r0] = tap[:, :, r1:] = 0.0
+            tap[:, :, r0:r1, :c0] = tap[:, :, r0:r1, c1:] = 0.0
+    return cols
 
 
 def _col2im(dcols: np.ndarray, in_hw: tuple[int, int], k: int, stride: int, padding: int):
@@ -306,25 +306,26 @@ def _conv(x: np.ndarray, w: np.ndarray, groups: int, stride: int, padding: int):
 
 
 def _conv_im2col(x: np.ndarray, w: np.ndarray, g: int, s: int, pad: int):
-    """One grouped matmul over a k*k*input im2col buffer; col2im backward."""
-    n = x.shape[0]
+    """One grouped matmul over a k*k*input im2col buffer; col2im backward,
+    which rebuilds the buffer from x rather than keeping it."""
+    n, _, h, wd = x.shape
     cout, cin_g, k, _ = w.shape
     cout_g = cout // g
-    cols, ho, wo = _im2col(x, k, s, pad)
+    ho = conv_output_size(h, k, s, pad)
+    wo = conv_output_size(wd, k, s, pad)
     loc = ho * wo
-    # (N, G, Cg*k*k, L) views for per-group matmuls
-    cols_g = cols.reshape(n, g, cin_g * k * k, loc)
+
+    def columns() -> np.ndarray:  # (N, G, Cg*k*k, L) for per-group matmuls
+        return _im2col(x, k, s, pad).reshape(n, g, cin_g * k * k, loc)
+
     w_g = w.reshape(g, cout_g, cin_g * k * k)
-    out = np.matmul(w_g[None], cols_g)  # (N, G, Og, L)
-    out = out.reshape(n, cout, ho, wo)
-    in_hw = x.shape[2:]
+    out = np.matmul(w_g[None], columns()).reshape(n, cout, ho, wo)
 
     def vjp(d: np.ndarray):
         dy_g = d.reshape(n, g, cout_g, loc)
-        dw = np.matmul(dy_g, cols_g.transpose(0, 1, 3, 2)).sum(axis=0)  # (G, Og, Cg*k*k)
-        dcols_g = np.matmul(w_g.transpose(0, 2, 1)[None], dy_g)  # (N, G, Cg*k*k, L)
-        dcols = dcols_g.reshape(n, g * cin_g, k, k, ho, wo)
-        return _col2im(dcols, in_hw, k, s, pad), dw.reshape(w.shape)
+        dw = np.matmul(dy_g, columns().transpose(0, 1, 3, 2)).sum(axis=0)  # (G, Og, Cg*k*k)
+        dcols = np.matmul(w_g.transpose(0, 2, 1)[None], dy_g).reshape(n, g * cin_g, k, k, ho, wo)
+        return _col2im(dcols, (h, wd), k, s, pad), dw.reshape(w.shape)
 
     return out, vjp
 
@@ -562,19 +563,28 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> GradPair:
 
 
 def max_pool(x: Tensor, kernel: int = 3, stride: int = 2, padding: int = 1) -> GradPair:
-    """Windowed max; gradient routes to the first maximum in each window."""
-    cols, ho, wo = _im2col(x.data, kernel, stride, padding, pad_value=-np.inf)
-    n, c = x.n, x.c
-    flat = cols.reshape(n, c, kernel * kernel, ho * wo)
-    idx = flat.argmax(axis=2)
-    out = np.take_along_axis(flat, idx[:, :, None, :], axis=2)[:, :, 0, :].reshape(n, c, ho, wo)
-    in_hw = (x.h, x.w)
+    """Windowed max over the tap spans, read in place; the gradient routes
+    to the first maximum in each window, in (row tap, column tap) order."""
+    ho = conv_output_size(x.h, kernel, stride, padding)
+    wo = conv_output_size(x.w, kernel, stride, padding)
+    spans = [
+        (np.s_[:, :, r0:r1, c0:c1], np.s_[:, :, rows, cs])
+        for r0, r1, rows in _taps(kernel, x.h, ho, stride, padding)
+        for c0, c1, cs in _taps(kernel, x.w, wo, stride, padding)
+    ]
+    out = np.full((x.n, x.c, ho, wo), -np.inf)
+    for o, i in spans:
+        np.maximum(out[o], x.data[i], out=out[o])
 
     def backward(dy: np.ndarray):
-        dflat = np.zeros((n, c, kernel * kernel, ho * wo))
-        np.put_along_axis(dflat, idx[:, :, None, :], dy.reshape(n, c, 1, ho * wo), axis=2)
-        dcols = dflat.reshape(n, c, kernel, kernel, ho, wo)
-        return _col2im(dcols, in_hw, kernel, stride, padding), {}
+        dx = np.zeros(x.shape)
+        taken = np.zeros(dy.shape, dtype=bool)  # windows an earlier tap took
+        for o, i in spans:
+            first = x.data[i] == out[o]
+            first &= ~taken[o]
+            taken[o] |= first
+            dx[i] += np.where(first, dy[o], 0.0)
+        return dx, {}
 
     return GradPair(_wrap(out), backward)
 

@@ -301,7 +301,8 @@ def load_params(model: Model, directory: str | Path) -> None:
     """Load a checkpoint written by save_params.
 
     Raises KeyError when its entries differ from the model's parameters and
-    state, and ValueError on a wrong shape; either way before any write.
+    state, and ValueError on a wrong shape or a negative running_var;
+    either way before any write.
     """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
@@ -315,6 +316,8 @@ def load_params(model: Model, directory: str | Path) -> None:
         values[name] = load_t4(directory / meta["file"]).data.reshape(meta["shape"])
         if values[name].shape != current[name].shape:
             raise ValueError(f"checkpoint entry {name!r}: shape {values[name].shape} != {current[name].shape}")
+        if name.endswith(".running_var") and np.any(values[name] < 0):
+            raise ValueError(f"checkpoint entry {name!r}: running_var must be non-negative")
     for name, value in values.items():
         if name in state:
             state[name][:] = value

@@ -89,6 +89,27 @@ def naive_max_pool(x, k=3, stride=2, padding=1):
     return out
 
 
+def naive_max_pool_dx(dy, x, k=3, stride=2, padding=1):
+    """Input gradient of naive_max_pool: each window's dy goes to its first
+    maximum, scanning rows, then columns, of the window."""
+    n, c, h, w = x.shape
+    _, _, ho, wo = dy.shape
+    dx = np.zeros(x.shape)
+    for b in range(n):
+        for ci in range(c):
+            for i in range(ho):
+                for j in range(wo):
+                    best = None
+                    for ki in range(k):
+                        for kj in range(k):
+                            r, q = i * stride + ki - padding, j * stride + kj - padding
+                            inside = 0 <= r < h and 0 <= q < w
+                            if inside and (best is None or x[b, ci, r, q] > x[b, ci][best]):
+                                best = (r, q)
+                    dx[b, ci][best] += dy[b, ci, i, j]
+    return dx
+
+
 def naive_linear(v, w, b=None):
     out = v @ w.T
     if b is not None:

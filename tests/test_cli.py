@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from epsakit import models, training
+from epsakit import models, ops, psa, training
 from epsakit.cli import main
 from epsakit.models import build_from_config, config_to_spec
 
@@ -130,7 +130,14 @@ class TestGradcheck:
         assert a == b
 
     def test_corrupted_backward_nonzero_exit(self, capsys, monkeypatch):
-        monkeypatch.setenv("EPSAKIT_GRADCHECK_CORRUPT", "1")
+        # psa looks the op up under its own name
+        sigmoid = psa.sigmoid
+
+        def wrong(x):
+            y, vjp = sigmoid(x)
+            return ops.GradPair(y, lambda dy: (-vjp(dy)[0], {}))
+
+        monkeypatch.setattr(psa, "sigmoid", wrong)
         code, out, _ = run(capsys, "gradcheck", "psa")
         assert code == 3
         assert "FAIL" in out

@@ -5,6 +5,7 @@ from functools import cache
 import numpy as np
 import pytest
 
+from epsakit import ops
 from epsakit.gradcheck import SCOPES, _Suite, run_suite, report_text
 from epsakit.models import Conv
 from epsakit.tensor import Tensor
@@ -71,8 +72,14 @@ def test_suite_is_deterministic():
     assert [(r.name, r.max_rel_error) for r in a] == [(r.name, r.max_rel_error) for r in b]
 
 
-def test_corruption_hook_fails_suite(monkeypatch):
-    monkeypatch.setenv("EPSAKIT_GRADCHECK_CORRUPT", "1")
+def test_wrong_sigmoid_backward_fails_suite(monkeypatch):
+    sigmoid = ops.sigmoid
+
+    def wrong(x):
+        y, vjp = sigmoid(x)
+        return ops.GradPair(y, lambda dy: (-vjp(dy)[0], {}))
+
+    monkeypatch.setattr(ops, "sigmoid", wrong)
     results = run_suite("ops", seed=0)
     assert any(not r.passed for r in results)
 

@@ -16,6 +16,7 @@ from oracles import (
     naive_gap,
     naive_linear,
     naive_max_pool,
+    naive_max_pool_dx,
 )
 
 
@@ -296,6 +297,17 @@ class TestMaxPool:
         got = ops.max_pool(x, 3, 2, 1).output.data
         np.testing.assert_allclose(got, naive_max_pool(x.data, 3, 2, 1), atol=0)
 
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 3), (7, 9)], ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    def test_backward_matches_loop_oracle(self, rng, hw):
+        # Rounded post-relu values: most windows hold several equal maxima.
+        x = Tensor(np.maximum(np.round(rng.standard_normal((2, 3) + hw)), 0.0))
+        gp = ops.max_pool(x, 3, 2, 1)
+        # Whole-number dy: sums are exact in any order, so dx is bitwise
+        # the oracle's, while every misrouted window still shows.
+        dy = rng.integers(1, 100, size=gp.output.shape) * rng.choice([-1.0, 1.0], size=gp.output.shape)
+        want = naive_max_pool_dx(dy, x.data, 3, 2, 1)
+        assert np.array_equal(gp.backward(dy)[0], want)
+
 
 class TestFiniteDifference:
     def test_gradient_of_sum(self):
@@ -422,11 +434,32 @@ class TestConvAdjoint:
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def _conv_case(cin, cout, k, stride=1, groups=1, hw=56):
+    def make(rng):
+        p = Conv2dParams.init(cin, cout, k, stride, (k - 1) // 2, groups, seed=rng)
+        return (1, cin, hw, hw), lambda x: ops.conv2d(x, p)
+
+    return make
+
+
+# (input shape, op) per op kind the models chain, convs of both strategies.
+RETAINING_CASES = {
+    "relu": lambda rng: ((1, 64, 56, 56), ops.relu),
+    "conv1x1": _conv_case(64, 256, 1),
+    "conv1x1s2": _conv_case(256, 512, 1, stride=2),
+    "conv3x3": _conv_case(64, 64, 3),
+    "stem7x7s2": _conv_case(3, 64, 7, stride=2, hw=224),
+    "narrow-k3g1": _conv_case(64, 16, 3),
+    "narrow-k9g16": _conv_case(64, 16, 9, groups=16),
+    "max_pool": lambda rng: ((1, 64, 112, 112), lambda x: ops.max_pool(x, 3, 2, 1)),
+}
+
+
 class TestAllocationBudget:
-    """Batch norm and stride-1 1x1 convs allocate their output and nothing
-    else that scales with the activation, relu and the narrowing conv keep
-    only their output, and max pool keeps only its output and argmax; these
-    budgets keep a later edit from quietly bringing the temporaries back."""
+    """Batch norm and max pool allocate their output and little else that
+    scales with the activation, and every op keeps only its output after
+    its forward (its input is the caller's); these budgets keep a later
+    edit from quietly bringing the temporaries back."""
 
     @staticmethod
     def traced(fn):
@@ -446,31 +479,17 @@ class TestAllocationBudget:
         gp, peak, _ = self.traced(lambda: ops.batch_norm(x, p, training))
         assert peak <= 1.25 * gp.output.data.nbytes
 
-    def test_pointwise_conv_retains_only_its_output(self, rng):
-        p = Conv2dParams.init(64, 256, 1, seed=rng)
-        x = Tensor(rng.standard_normal((1, 64, 56, 56)))
-        gp, _, held = self.traced(lambda: ops.conv2d(x, p))
-        assert held <= 1.01 * gp.output.data.nbytes
-
-    def test_relu_retains_only_its_output(self, rng):
-        x = Tensor(rng.standard_normal((1, 64, 56, 56)))
-        gp, _, held = self.traced(lambda: ops.relu(x))
-        assert held <= 1.01 * gp.output.data.nbytes
-
-    def test_max_pool_retains_output_and_argmax(self, rng):
+    def test_max_pool_peak(self, rng):
         x = Tensor(rng.standard_normal((1, 64, 112, 112)))
-        gp, _, held = self.traced(lambda: ops.max_pool(x, 3, 2, 1))
-        assert held <= 2.1 * gp.output.data.nbytes
+        gp, peak, _ = self.traced(lambda: ops.max_pool(x, 3, 2, 1))
+        assert peak <= 1.25 * gp.output.data.nbytes
 
-    @pytest.mark.parametrize("k,g", [(3, 1), (9, 16)], ids=["k3g1", "k9g16"])
-    def test_narrowing_conv_retains_only_its_output(self, rng, k, g):
-        pad = (k - 1) // 2
-        p = Conv2dParams.init(64, 16, k, padding=pad, groups=g, seed=rng)
-        x = Tensor(rng.standard_normal((1, 64, 56, 56)))
-        gp, _, held = self.traced(lambda: ops.conv2d(x, p))
+    @pytest.mark.parametrize("case", RETAINING_CASES.values(), ids=RETAINING_CASES.keys())
+    def test_retains_only_its_output(self, rng, case):
+        shape, op = case(rng)
+        x = Tensor(rng.standard_normal(shape))
+        gp, _, held = self.traced(lambda: op(x))
         assert held <= 1.02 * gp.output.data.nbytes
-        # Neither strategy's dx is a view into a larger (padded) buffer.
-        dy = rng.standard_normal(gp.output.shape)
-        im2col_dx, _ = ops._conv_im2col(x.data, p.weight.data, g, 1, pad)[1](dy)
-        for dx in (gp.backward(dy)[0], im2col_dx):
-            assert dx.shape == x.shape and (dx.base is None or dx.base.nbytes == dx.nbytes)
+        # No dx is a view into a larger (padded) buffer.
+        dx, _ = gp.backward(rng.standard_normal(gp.output.shape))
+        assert dx.shape == x.shape and (dx.base is None or dx.base.nbytes == dx.nbytes)

@@ -275,6 +275,20 @@ class TestCheckpointValidation:
         for k, v in fresh.net.params().items():
             assert np.array_equal(v, before[k]), k
 
+    def test_negative_running_var_rejected_before_any_write(self, tmp_path):
+        model, manifest = self._saved(tmp_path)
+        var = model.net.state()["stem.bn.running_var"].copy()
+        var[0] = -1.0
+        tc.save_t4(Tensor(var.reshape(-1, 1, 1, 1)), tmp_path / manifest["stem.bn.running_var"]["file"])
+        fresh = models.build_toy_epsanet(
+            num_classes=4, widths=(16, 32), blocks=(1, 1), stem_channels=16, seed=5
+        )
+        before = {k: v.copy() for k, v in {**fresh.net.params(), **fresh.net.state()}.items()}
+        with pytest.raises(ValueError, match="stem.bn.running_var"):
+            load_params(fresh, tmp_path)
+        for k, v in {**fresh.net.params(), **fresh.net.state()}.items():
+            assert np.array_equal(v, before[k]), k
+
 
 def test_divergence_caused_by_non_finite_error():
     model, ds, _ = tiny_setup()
