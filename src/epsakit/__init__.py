@@ -9,17 +9,9 @@ from .tensor import (
     NonFiniteError,
     Shape,
     Tensor,
-    add,
-    broadcast_mul_channel,
-    concat_channels,
     load_t4,
-    map_elementwise,
     random_uniform,
     save_t4,
-    scale,
-    split_channels,
-    sub,
-    sum_all,
     zeros,
 )
 from .ops import (
@@ -29,7 +21,6 @@ from .ops import (
     LinearParams,
     batch_norm,
     conv2d,
-    finite_difference_gradient,
     global_avg_pool,
     linear,
     max_pool,

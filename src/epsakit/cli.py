@@ -4,9 +4,6 @@ Exit codes: 0 success, 2 usage or configuration error, 3 numerical
 failure (a failed gradient check, a diverged training run, or NaN/Inf in
 a forward or backward pass). All subcommands are deterministic given
 flags and seed.
-
-EPSAKIT_THREADS (>= 1) caps worker parallelism; the current implementation
-executes sequentially, which satisfies any cap.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,18 +20,6 @@ from .tensor import NonFiniteError, random_uniform
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("EPSAKIT_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        print(f"error: EPSAKIT_THREADS must be an integer >= 1, got {raw!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return cap
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -194,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _threads_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -69,7 +69,6 @@ __all__ = [
     "softmax_over_scales",
     "batch_norm",
     "max_pool",
-    "finite_difference_gradient",
     "finite_difference_array",
     "max_relative_error",
 ]
@@ -233,7 +232,7 @@ class BatchNormParams:
 class GradPair:
     """Forward output plus the matching vector-Jacobian product."""
 
-    output: Tensor | np.ndarray
+    output: Tensor
     backward: Callable[[np.ndarray], tuple[np.ndarray, ParamGrads]]
 
     def __iter__(self):  # unpacks as a layer's (y, vjp)
@@ -419,23 +418,14 @@ def _global_avg_pool_vjp(in_shape: tuple[int, int, int, int], dy: np.ndarray) ->
     return np.broadcast_to(dy / (h * w), in_shape).copy()
 
 
-def linear(x: Tensor | np.ndarray, p: LinearParams) -> GradPair:
-    """Affine map per sample.
-
-    Accepts a (N, C, 1, 1) tensor (returns (N, out, 1, 1)) or a plain
-    (N, C) array (returns (N, out)).
-    """
-    tensor_in = isinstance(x, Tensor)
-    if tensor_in:
-        if (x.h, x.w) != (1, 1):
-            raise ValueError(f"linear expects (N, C, 1, 1), got {x.shape}")
-        flat = x.data.reshape(x.n, x.c)
-    else:
-        x = flat = np.asarray(x, dtype=np.float64)
-        if flat.ndim != 2:
-            raise ValueError(f"linear expects a (N, C) array, got shape {flat.shape}")
-    if flat.shape[1] != p.in_features:
-        raise ValueError(f"input features {flat.shape[1]} != {p.in_features}")
+def linear(x: Tensor, p: LinearParams) -> GradPair:
+    """Affine map per sample, from a (N, C, 1, 1) tensor to (N, out, 1, 1);
+    the backward takes dy and returns dx in those same shapes."""
+    if (x.h, x.w) != (1, 1):
+        raise ValueError(f"linear expects (N, C, 1, 1), got {x.shape}")
+    if x.c != p.in_features:
+        raise ValueError(f"input features {x.c} != {p.in_features}")
+    flat = x.data.reshape(x.n, x.c)
 
     # The backward must use the weight this forward used, even if the
     # parameter is replaced in between.
@@ -452,7 +442,7 @@ def linear(x: Tensor | np.ndarray, p: LinearParams) -> GradPair:
             grads["bias"] = d2.sum(axis=0)
         return (d2 @ weight).reshape(x.shape), grads
 
-    return GradPair(_wrap(out.reshape(n, out_f, 1, 1)) if tensor_in else out, backward)
+    return GradPair(_wrap(out.reshape(n, out_f, 1, 1)), backward)
 
 
 def relu(x: Tensor) -> GradPair:
@@ -564,7 +554,10 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> GradPair:
 
 def max_pool(x: Tensor, kernel: int = 3, stride: int = 2, padding: int = 1) -> GradPair:
     """Windowed max over the tap spans, read in place; the gradient routes
-    to the first maximum in each window, in (row tap, column tap) order."""
+    to the first maximum in each window, in (row tap, column tap) order.
+    Every window holds at least one input exactly when padding < kernel."""
+    if padding >= kernel:
+        raise ValueError(f"max pool padding {padding} must be less than kernel {kernel}")
     ho = conv_output_size(x.h, kernel, stride, padding)
     wo = conv_output_size(x.w, kernel, stride, padding)
     spans = [
@@ -589,13 +582,6 @@ def max_pool(x: Tensor, kernel: int = 3, stride: int = 2, padding: int = 1) -> G
     return GradPair(_wrap(out), backward)
 
 
-def finite_difference_gradient(
-    f: Callable[[Tensor], float], x: Tensor, epsilon: float = 1e-5
-) -> Tensor:
-    """finite_difference_array for a function of a tensor."""
-    return _wrap(finite_difference_array(lambda a: f(Tensor(a)), x.data, epsilon))
-
-
 def finite_difference_array(
     f: Callable[[np.ndarray], float], a: np.ndarray, epsilon: float = 1e-5
 ) -> np.ndarray:
@@ -616,11 +602,9 @@ def finite_difference_array(
     return grad
 
 
-def max_relative_error(analytic, numeric, clamp: float = 1e-8) -> float:
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, clamp: float = 1e-8) -> float:
     """Element-wise |a - n| / max(|n|, clamp), reduced with max."""
-    a = analytic.data if isinstance(analytic, Tensor) else np.asarray(analytic)
-    n = numeric.data if isinstance(numeric, Tensor) else np.asarray(numeric)
-    if a.shape != n.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {n.shape}")
-    denom = np.maximum(np.abs(n), clamp)
-    return float(np.max(np.abs(a - n) / denom))
+    if analytic.shape != numeric.shape:
+        raise ValueError(f"shape mismatch {analytic.shape} vs {numeric.shape}")
+    denom = np.maximum(np.abs(numeric), clamp)
+    return float(np.max(np.abs(analytic - numeric) / denom))

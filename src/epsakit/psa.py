@@ -38,7 +38,6 @@ __all__ = [
     "SeWeightParams",
     "PsaParams",
     "kernel_to_group",
-    "default_kernels",
     "default_groups",
     "se_weight",
     "spc_forward",
@@ -54,11 +53,6 @@ def kernel_to_group(k: int) -> int:
     if k == 3:
         return 1
     return 2 ** ((k - 1) // 2)
-
-
-def default_kernels(scales: int) -> tuple[int, ...]:
-    """Kernel ladder 3, 5, 7, ... (2*(i+1)+1 for branch i)."""
-    return tuple(2 * (i + 1) + 1 for i in range(scales))
 
 
 def default_groups(kernels: Sequence[int], channels: int, scales: int) -> tuple[int, ...]:
@@ -115,17 +109,6 @@ class PsaConfig:
     @property
     def branch_channels(self) -> int:
         return self.channels // self.scales
-
-    @classmethod
-    def default(cls, channels: int, scales: int = 4, stride: int = 1) -> "PsaConfig":
-        kernels = default_kernels(scales)
-        return cls(
-            channels=channels,
-            scales=scales,
-            kernels=kernels,
-            groups=default_groups(kernels, channels, scales),
-            stride=stride,
-        )
 
     def to_dict(self) -> dict:
         return {

@@ -1,17 +1,20 @@
 """Dense 4-D float64 tensors in (N, C, H, W) layout.
 
-Every public operation is pure: inputs are never mutated and outputs are
-freshly allocated. Backing arrays are flagged read-only so accidental
-in-place edits fail loudly. Constructing a tensor from non-finite data
-raises, which keeps the "finite in, finite out" invariant checkable at
-module boundaries.
+`Tensor` is the forward value every op takes and returns. Its backing
+array is flagged read-only, so an accidental in-place edit fails loudly,
+and constructing one from non-finite data raises `NonFiniteError`.
+`_wrap` is how the ops wrap a freshly computed array: it keeps the
+finiteness check, which is where NaN or Inf is first caught, but skips
+the copy. `zeros` and `random_uniform` build tensors from a shape, the
+latter deterministically from a seed, and `save_t4`/`load_t4` write and
+read the `.t4` file format described above them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,14 +24,6 @@ __all__ = [
     "NonFiniteError",
     "zeros",
     "random_uniform",
-    "concat_channels",
-    "split_channels",
-    "broadcast_mul_channel",
-    "add",
-    "sub",
-    "scale",
-    "sum_all",
-    "map_elementwise",
     "save_t4",
     "load_t4",
 ]
@@ -157,64 +152,6 @@ def random_uniform(
     s = _as_shape(shape)
     rng = np.random.Generator(np.random.PCG64(seed))
     return _wrap(rng.uniform(low, high, size=s.as_tuple()))
-
-
-def concat_channels(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the channel axis; batch and spatial dims must match."""
-    if len(parts) == 0:
-        raise ValueError("concat_channels requires at least one part")
-    n, _, h, w = parts[0].shape
-    for p in parts[1:]:
-        if (p.n, p.h, p.w) != (n, h, w):
-            raise ValueError(
-                f"concat_channels: mismatched non-channel dims {p.shape} vs {parts[0].shape}"
-            )
-    return _wrap(np.concatenate([p.data for p in parts], axis=1))
-
-
-def split_channels(x: Tensor, s: int) -> list[Tensor]:
-    """Split into s equal channel groups, in concatenation order."""
-    if s <= 0:
-        raise ValueError(f"split count must be positive, got {s}")
-    if x.c % s != 0:
-        raise ValueError(f"channels {x.c} not divisible by {s}")
-    step = x.c // s
-    return [_wrap(x.data[:, i * step : (i + 1) * step].copy()) for i in range(s)]
-
-
-def broadcast_mul_channel(x: Tensor, w: Tensor) -> Tensor:
-    """Scale each channel of x by the matching (N, C, 1, 1) weight."""
-    if w.shape != (x.n, x.c, 1, 1):
-        raise ValueError(f"weight shape {w.shape} must be ({x.n}, {x.c}, 1, 1)")
-    return _wrap(x.data * w.data)
-
-
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-    return _wrap(a.data + b.data)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    return _wrap(a.data - b.data)
-
-
-def scale(x: Tensor, alpha: float) -> Tensor:
-    return _wrap(x.data * float(alpha))
-
-
-def sum_all(x: Tensor) -> float:
-    return float(x.data.sum())
-
-
-def map_elementwise(x: Tensor, f: Callable[[float], float]) -> Tensor:
-    vf = np.vectorize(f, otypes=[np.float64])
-    return _wrap(vf(x.data))
 
 
 # Serialization: 4 little-endian uint32 shape fields, then the float64

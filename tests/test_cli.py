@@ -125,8 +125,10 @@ class TestGradcheck:
         assert "gradient checks passed" in out
 
     def test_deterministic_report(self, capsys):
-        _, a, _ = run(capsys, "gradcheck", "psa", "--seed", "7")
-        _, b, _ = run(capsys, "gradcheck", "psa", "--seed", "7")
+        code_a, a, _ = run(capsys, "gradcheck", "psa", "--seed", "7")
+        code_b, b, _ = run(capsys, "gradcheck", "psa", "--seed", "7")
+        assert code_a == code_b == 0
+        assert "gradient checks passed" in a
         assert a == b
 
     def test_corrupted_backward_nonzero_exit(self, capsys, monkeypatch):
@@ -226,18 +228,3 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["name"] == "resnet50"
-
-
-class TestThreadsEnv:
-    def test_invalid_threads_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("EPSAKIT_THREADS", "zero")
-        with pytest.raises(SystemExit):
-            main(["describe", "resnet50"])
-
-    @pytest.mark.parametrize("value", ["zero", "0", "-2"])
-    def test_invalid_threads_exit_usage(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("EPSAKIT_THREADS", value)
-        with pytest.raises(SystemExit) as err:
-            main(["describe", "resnet50"])
-        assert err.value.code == 2
-        assert "EPSAKIT_THREADS" in capsys.readouterr().err

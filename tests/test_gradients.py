@@ -67,7 +67,7 @@ def test_check_restores_parameters_bitwise():
 
 
 def test_suite_is_deterministic():
-    a = run_suite("psa", seed=7)
+    a = _suite("psa", 7)
     b = run_suite("psa", seed=7)
     assert [(r.name, r.max_rel_error) for r in a] == [(r.name, r.max_rel_error) for r in b]
 

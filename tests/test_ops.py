@@ -7,7 +7,7 @@ import pytest
 
 from epsakit import ops
 from epsakit.ops import BatchNormParams, Conv2dParams, LinearParams
-from epsakit.tensor import Tensor
+from epsakit.tensor import NonFiniteError, Tensor
 
 from oracles import (
     naive_batch_norm,
@@ -130,28 +130,30 @@ class TestLinear:
 
     def test_hand_arithmetic(self):
         p = LinearParams(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = ops.linear(np.array([[1.0, 1.0]]), p).output
-        assert out.tolist() == [[3.0, 7.0]]
+        out = ops.linear(Tensor(np.ones((1, 2, 1, 1))), p).output
+        assert out.shape == (1, 2, 1, 1)
+        assert out.data.reshape(1, 2).tolist() == [[3.0, 7.0]]
 
     def test_matches_matmul_oracle(self, rng):
         p = LinearParams.init(5, 3, bias=True, seed=rng)
         p.bias[:] = rng.standard_normal(3)
         v = rng.standard_normal((4, 5))
+        out = ops.linear(Tensor(v.reshape(4, 5, 1, 1)), p).output
         np.testing.assert_allclose(
-            ops.linear(v, p).output, naive_linear(v, p.weight, p.bias), atol=1e-12
+            out.data.reshape(4, 3), naive_linear(v, p.weight, p.bias), atol=1e-12
         )
 
     def test_dimension_mismatch(self):
         p = LinearParams.init(5, 3)
         with pytest.raises(ValueError):
-            ops.linear(np.zeros((2, 4)), p)
+            ops.linear(Tensor(np.zeros((2, 4, 1, 1))), p)
+        with pytest.raises(ValueError):
+            ops.linear(Tensor(np.zeros((2, 5, 2, 1))), p)
 
-    @pytest.mark.parametrize("tensor_in", [False, True])
-    def test_backward_uses_forward_weight(self, rng, tensor_in):
+    def test_backward_uses_forward_weight(self, rng):
         p = LinearParams.init(5, 3, bias=True, seed=rng)
-        v = rng.standard_normal((4, 5))
-        x = Tensor(v.reshape(4, 5, 1, 1)) if tensor_in else v
-        dy = rng.standard_normal((4, 3))
+        x = Tensor(rng.standard_normal((4, 5, 1, 1)))
+        dy = rng.standard_normal((4, 3, 1, 1))
         want = ops.linear(x, p).backward(dy)[0]
         gp = ops.linear(x, p)
         p.weight = p.weight * 3.0
@@ -291,6 +293,15 @@ class TestMaxPool:
         x = Tensor(np.zeros((1, 1, 112, 112)))
         assert ops.max_pool(x, 3, 2, 1).output.shape == (1, 1, 56, 56)
 
+    @pytest.mark.parametrize("kernel, stride, padding", [(3, 1, 3), (1, 1, 1), (3, 2, 4)])
+    def test_padding_not_below_kernel_is_a_config_error(self, kernel, stride, padding):
+        # A window wholly in the padding holds no input; that is a bad
+        # configuration, not a numerical failure.
+        x = Tensor(np.ones((1, 2, 5, 5)))
+        with pytest.raises(ValueError, match="kernel") as err:
+            ops.max_pool(x, kernel, stride, padding)
+        assert not isinstance(err.value, NonFiniteError)
+
     @pytest.mark.parametrize("hw", [(1, 1), (2, 3), (7, 9)], ids=lambda hw: f"{hw[0]}x{hw[1]}")
     def test_matches_loop_oracle(self, rng, hw):
         x = Tensor(rng.standard_normal((2, 3) + hw))
@@ -311,14 +322,14 @@ class TestMaxPool:
 
 class TestFiniteDifference:
     def test_gradient_of_sum(self):
-        x = Tensor(np.random.default_rng(3).standard_normal((1, 2, 3, 3)))
-        g = ops.finite_difference_gradient(lambda t: float(t.data.sum()), x)
-        np.testing.assert_allclose(g.data, 1.0, atol=1e-9)
+        a = np.random.default_rng(3).standard_normal((1, 2, 3, 3))
+        g = ops.finite_difference_array(lambda v: float(v.sum()), a)
+        np.testing.assert_allclose(g, 1.0, atol=1e-9)
 
     def test_gradient_of_half_norm(self):
-        x = Tensor(np.random.default_rng(4).standard_normal((1, 2, 3, 3)))
-        g = ops.finite_difference_gradient(lambda t: 0.5 * float((t.data ** 2).sum()), x)
-        np.testing.assert_allclose(g.data, x.data, atol=1e-9)
+        a = np.random.default_rng(4).standard_normal((1, 2, 3, 3))
+        g = ops.finite_difference_array(lambda v: 0.5 * float((v ** 2).sum()), a)
+        np.testing.assert_allclose(g, a, atol=1e-9)
 
 
 # (kernel, groups, in, out) of every PSA branch conv the builders make:

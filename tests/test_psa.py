@@ -44,11 +44,6 @@ class TestPsaConfig:
         assert cfg.groups == (1, 4, 8, 16)
         assert cfg.branch_channels == 16
 
-    def test_default_rule_constructor(self):
-        cfg = PsaConfig.default(64)
-        assert cfg.kernels == (3, 5, 7, 9)
-        assert cfg.groups == (1, 4, 8, 16)
-
     def test_default_rule_clamps_small_channels(self):
         groups = default_groups((3, 5, 7, 9), 32, 4)
         assert groups == (1, 4, 8, 8)
