@@ -76,11 +76,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    ds = training.make_toy_dataset(**defaults.TOY_DATASET)
-    model = models.build_toy_epsanet(num_classes=ds.num_classes, **defaults.TOY_MODEL)
     flags = ("lr", "momentum", "weight_decay", "batch_size", "epochs", "seed")
     overrides = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
-    cfg = dataclasses.replace(defaults.TOY_TRAIN, **overrides)
+    cfg = dataclasses.replace(defaults.TOY_TRAIN, **overrides)  # ValueError: exit 2
+    ds = training.make_toy_dataset(**defaults.TOY_DATASET)
+    model = models.build_toy_epsanet(num_classes=ds.num_classes, **defaults.TOY_MODEL)
     try:
         history = training.train(model, ds, cfg)
     except training.TrainingDiverged as err:

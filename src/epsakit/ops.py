@@ -15,7 +15,7 @@ unpacks as (output, backward).
 
 Every backward keeps nothing but the op's input, by reference (safe,
 because tensors are read-only), and its own output; anything else it
-needs it rebuilds: batch norm its normalized input, the im2col conv its
+needs it rebuilds: batch norm its centred input, the im2col conv its
 columns and the narrowing conv its row stack. Relu keeps only its output
 and masks dy with y > 0; max pool routes each window's dy to the first
 tap whose input equals the output. After its forward an op so holds its
@@ -497,8 +497,14 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> GradPair:
 
     Training mode normalizes with batch statistics and updates the running
     statistics in place (torch-style: running <- (1-m)*running + m*batch,
-    with the unbiased variance feeding the running update). Either mode
-    runs as one per-channel affine pass, out = x*scale + shift.
+    with the unbiased variance feeding the running update). It centres x
+    once, out = x - mean, takes the variance from that buffer and finishes
+    it in place, out = (x - mean)*scale + beta. Eval runs as one
+    per-channel affine pass, out = x*scale + shift.
+
+    Either backward is a per-channel affine map of dy and the centred input
+    xc = x - mean, dx = scale*(dy + b*xc + c), whose b and c are zero in
+    eval; it builds xc once and overwrites it with dx.
     """
     if x.c != p.gamma.shape[0]:
         raise ValueError(f"input has {x.c} channels, expected {p.gamma.shape[0]}")
@@ -508,11 +514,8 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> GradPair:
 
     if training:
         mean = xd.mean(axis=axes)
-        # The output buffer holds the squared deviations first: the same
-        # steps as xd.var, without a temporary of its own.
         out = np.subtract(xd, mean[None, :, None, None])
-        np.multiply(out, out, out=out)
-        var = out.mean(axis=axes)
+        var = np.einsum("nchw,nchw->c", out, out) / m
         corr = m / (m - 1) if m > 1 else 1.0
         p.running_mean[:] = (1 - p.momentum) * p.running_mean + p.momentum * mean
         p.running_var[:] = (1 - p.momentum) * p.running_var + p.momentum * var * corr
@@ -524,29 +527,31 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> GradPair:
         out = np.empty_like(xd)
 
     inv_std = 1.0 / np.sqrt(var + p.eps)
-    # The backward must use the gamma this forward used, even if the
-    # parameter is replaced in between.
-    gamma = p.gamma
-    scale = gamma * inv_std
-    np.multiply(xd, scale[None, :, None, None], out=out)
-    out += (p.beta - mean * scale)[None, :, None, None]
+    # The backward uses the scale this forward computed, even if gamma is
+    # replaced in between.
+    scale = p.gamma * inv_std
+    if training:
+        out *= scale[None, :, None, None]
+        out += p.beta[None, :, None, None]
+    else:
+        np.multiply(xd, scale[None, :, None, None], out=out)
+        out += (p.beta - mean * scale)[None, :, None, None]
 
     def backward(d: np.ndarray):
-        xhat = np.subtract(xd, mean[None, :, None, None])
-        xhat *= inv_std[None, :, None, None]
-        prod = d * xhat
-        dgamma = prod.sum(axis=axes)
+        dx = np.subtract(xd, mean[None, :, None, None])  # xc until dgamma is taken
         dbeta = d.sum(axis=axes)
-        dx = d * gamma[None, :, None, None]  # dxhat until the last step
+        dgamma = inv_std * np.einsum("nchw,nchw->c", d, dx)
         if training:
             # Batch statistics depend on x, so the Jacobian couples samples:
-            # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std.
-            sum_dxhat = dx.sum(axis=axes)
-            sum_dxhat_xhat = np.multiply(dx, xhat, out=prod).sum(axis=axes)
-            dx -= (sum_dxhat / m)[None, :, None, None]
-            xhat *= (sum_dxhat_xhat / m)[None, :, None, None]
-            dx -= xhat
-        dx *= inv_std[None, :, None, None]
+            # dx = scale*(dy + b*xc + c), b = -inv_std*dgamma/m, c = -dbeta/m.
+            # Summing dy*xc, not dy*x - mean*dy, avoids cancellation when
+            # mean >> std; overwriting xc keeps the backward to one buffer.
+            dx *= (-inv_std * dgamma / m)[None, :, None, None]
+            dx += (-dbeta / m)[None, :, None, None]
+            dx += d
+            dx *= scale[None, :, None, None]
+        else:
+            np.multiply(d, scale[None, :, None, None], out=dx)
         return dx, {"gamma": dgamma, "beta": dbeta}
 
     return GradPair(_wrap(out), backward)

@@ -10,6 +10,8 @@ this costs nothing.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,6 +49,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("lr", "momentum", "weight_decay", "lr_decay_factor"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr < 0 or self.momentum < 0 or self.weight_decay < 0:
             raise ValueError("rates must be non-negative")
         if not 0.0 <= self.label_smoothing < 1.0:
@@ -286,15 +291,40 @@ def _pad4(shape: tuple[int, ...]) -> tuple[int, int, int, int]:
 
 
 def save_params(model: Model, directory: str | Path) -> None:
-    """Write every parameter (and batch-norm state) as a .t4 file plus a manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {}
-    for name, value in {**model.net.params(), **model.net.state()}.items():
-        fname = name.replace(".", "__") + ".t4"
-        save_t4(Tensor(value.reshape(_pad4(value.shape))), directory / fname)
-        manifest[name] = {"file": fname, "shape": list(value.shape)}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    """Write every parameter (and batch-norm state) as a .t4 file plus a manifest.
+
+    The files go to a sibling temporary directory that then takes the
+    target's place, so a save that fails leaves the previous checkpoint
+    loadable and no temporary directory behind. The target is replaced
+    whole; a non-empty directory that holds no manifest is refused.
+    """
+    directory = Path(os.path.abspath(directory))  # "." has no name to put a sibling by
+    if directory.exists() and not (directory / "manifest.json").exists() and any(directory.iterdir()):
+        raise ValueError(f"{directory} is not empty and holds no checkpoint")
+    tmp = directory.with_name(f".{directory.name}.{os.urandom(8).hex()}.tmp")
+    tmp.mkdir(parents=True)
+    try:
+        manifest = {}
+        for name, value in {**model.net.params(), **model.net.state()}.items():
+            fname = name.replace(".", "__") + ".t4"
+            save_t4(Tensor(value.reshape(_pad4(value.shape))), tmp / fname)
+            manifest[name] = {"file": fname, "shape": list(value.shape)}
+        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        if not directory.exists():
+            os.replace(tmp, directory)
+            return
+        # A directory cannot be renamed onto a non-empty one: move the old
+        # checkpoint aside first, and back if the swap fails.
+        aside = tmp.with_suffix(".old")
+        os.replace(directory, aside)
+        try:
+            os.replace(tmp, directory)
+        except BaseException:
+            os.replace(aside, directory)
+            raise
+        shutil.rmtree(aside)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def load_params(model: Model, directory: str | Path) -> None:

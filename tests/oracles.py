@@ -59,6 +59,14 @@ def naive_batch_norm_dx(dy, x, gamma, mean, var, eps, training):
     return g - g.mean(axis=axes, keepdims=True) - xhat * (g * xhat).mean(axis=axes, keepdims=True)
 
 
+def naive_batch_norm_dparams(dy, x, mean, var, eps):
+    """(dgamma, dbeta) of naive_batch_norm: sum(dy * xhat) and sum(dy) per
+    channel, with xhat = (x - mean) * inv_std; the same in either mode."""
+    xhat = (x - _per_channel(mean)) * (1.0 / np.sqrt(_per_channel(var) + eps))
+    axes = (0, 2, 3)
+    return (dy * xhat).sum(axis=axes), dy.sum(axis=axes)
+
+
 def naive_gap(x):
     n, c, h, w = x.shape
     out = np.zeros((n, c, 1, 1))

@@ -11,6 +11,7 @@ from epsakit.tensor import NonFiniteError, Tensor
 
 from oracles import (
     naive_batch_norm,
+    naive_batch_norm_dparams,
     naive_batch_norm_dx,
     naive_conv2d,
     naive_gap,
@@ -263,24 +264,29 @@ class TestBatchNorm:
 
     @pytest.mark.parametrize("training", [True, False])
     def test_matches_naive_formula(self, rng, training):
+        """Output, dx, dgamma and dbeta, also where mean >> std: there a
+        backward that sums dy*x and subtracts mean*sum(dy) cancels."""
         c = 4
         p = BatchNormParams.init(c)
         p.gamma[:] = rng.uniform(0.5, 2.0, c)
         p.beta[:] = rng.uniform(-1.0, 1.0, c)
         p.running_mean[:] = rng.uniform(-2.0, 2.0, c)
         p.running_var[:] = rng.uniform(0.5, 3.0, c)
-        x = rng.standard_normal((3, c, 5, 6)) * 2.0 + 1.5
-        if training:
-            mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
-        else:
-            mean, var = p.running_mean.copy(), p.running_var.copy()
-        gp = ops.batch_norm(Tensor(x), p, training)
-        want = naive_batch_norm(x, p.gamma, p.beta, mean, var, p.eps)
-        np.testing.assert_allclose(gp.output.data, want, rtol=0, atol=1e-12 * np.abs(want).max())
-        dy = rng.standard_normal(x.shape)
-        want_dx = naive_batch_norm_dx(dy, x, p.gamma, mean, var, p.eps, training)
-        got_dx = gp.backward(dy)[0]
-        np.testing.assert_allclose(got_dx, want_dx, rtol=0, atol=1e-12 * np.abs(want_dx).max())
+        shape = (3, c, 5, 6)
+        for x in (rng.standard_normal(shape) * 2.0 + 1.5, 1e3 + 1e-3 * rng.standard_normal(shape)):
+            if training:
+                mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+            else:
+                mean, var = p.running_mean.copy(), p.running_var.copy()
+            gp = ops.batch_norm(Tensor(x), p, training)
+            want = naive_batch_norm(x, p.gamma, p.beta, mean, var, p.eps)
+            np.testing.assert_allclose(gp.output.data, want, rtol=0, atol=1e-12 * np.abs(want).max())
+            dy = rng.standard_normal(x.shape)
+            got_dx, got = gp.backward(dy)
+            want_dx = naive_batch_norm_dx(dy, x, p.gamma, mean, var, p.eps, training)
+            np.testing.assert_allclose(got_dx, want_dx, rtol=0, atol=1e-12 * np.abs(want_dx).max())
+            for name, want in zip(("gamma", "beta"), naive_batch_norm_dparams(dy, x, mean, var, p.eps)):
+                np.testing.assert_allclose(got[name], want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestMaxPool:
@@ -488,6 +494,17 @@ class TestAllocationBudget:
         p = BatchNormParams.init(64)
         x = Tensor(rng.standard_normal((1, 64, 56, 56)))
         gp, peak, _ = self.traced(lambda: ops.batch_norm(x, p, training))
+        assert peak <= 1.25 * gp.output.data.nbytes
+
+    @pytest.mark.parametrize("training", [True, False], ids=["training", "eval"])
+    def test_batch_norm_backward_peak(self, rng, training):
+        """The backward builds the centred input and overwrites it with dx:
+        one buffer of the output's size."""
+        p = BatchNormParams.init(64)
+        x = Tensor(rng.standard_normal((1, 64, 56, 56)))
+        gp = ops.batch_norm(x, p, training)
+        dy = rng.standard_normal(x.shape)
+        _, peak, _ = self.traced(lambda: gp.backward(dy))
         assert peak <= 1.25 * gp.output.data.nbytes
 
     def test_max_pool_peak(self, rng):

@@ -196,6 +196,12 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["lr", "momentum", "weight_decay", "lr_decay_factor"])
+    def test_non_finite_rate_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
     def test_head_class_mismatch_rejected(self):
         model, ds, cfg = tiny_setup()
         bad = ToyDataset(ds.images, ds.labels % 2, 2)
@@ -237,6 +243,49 @@ class TestCheckpoint:
         np.testing.assert_allclose(
             fresh.net.forward(ds.images, training=False), logits_before, atol=0
         )
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        model, _, _ = tiny_setup()
+        ckpt = tmp_path / "ckpt"
+        save_params(model, ckpt)
+        saved = {k: v.copy() for k, v in {**model.net.params(), **model.net.state()}.items()}
+        for name, value in model.net.params().items():
+            model.net.set_param(name, value + 1.0)
+
+        real, written = tc.save_t4, []
+
+        def failing(t, path):
+            if len(written) == 3:
+                raise OSError("disk full")
+            written.append(path)
+            real(t, path)
+
+        monkeypatch.setattr(training, "save_t4", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_params(model, ckpt)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        fresh, _, _ = tiny_setup(model_seed=5)
+        load_params(fresh, ckpt)
+        for k, v in {**fresh.net.params(), **fresh.net.state()}.items():
+            assert np.array_equal(v, saved[k]), k
+
+    def test_save_replaces_previous_checkpoint(self, tmp_path):
+        model, _, _ = tiny_setup()
+        save_params(model, tmp_path / "ckpt")
+        for name, value in model.net.params().items():
+            model.net.set_param(name, value + 1.0)
+        save_params(model, tmp_path / "ckpt")
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        fresh, _, _ = tiny_setup(model_seed=5)
+        load_params(fresh, tmp_path / "ckpt")
+        for k, v in fresh.net.params().items():
+            assert np.array_equal(v, model.net.params()[k]), k
+
+    def test_save_refuses_a_directory_that_is_not_a_checkpoint(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("keep me")
+        with pytest.raises(ValueError, match="holds no checkpoint"):
+            save_params(tiny_setup()[0], tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
 
 
 class TestCheckpointValidation:
