@@ -47,7 +47,7 @@ import numpy as np
 
 from . import ops
 from .ops import BatchNormParams, Conv2dParams, LinearParams, _rng, conv_output_size
-from .psa import PsaConfig, PsaParams, SeWeightParams, _se_weight_grad, psa_with_grad
+from .psa import PsaConfig, PsaParams, SeWeightParams, _json, _se_weight_grad, default_groups, psa_with_grad
 from .tensor import NonFiniteError, Tensor, _wrap
 
 __all__ = [
@@ -344,7 +344,6 @@ class BlockSpec:
     kind: str
     mid_channels: int
     out_channels: int
-    stride: int = 1
     psa: PsaConfig | None = None
     se_reduction: int = 16
 
@@ -353,16 +352,15 @@ class BlockSpec:
             raise ValueError(f"unknown block kind {self.kind!r}")
         if (self.psa is not None) != (self.kind == "epsa"):
             raise ValueError("psa config must be present exactly when kind == 'epsa'")
-        if self.stride not in (1, 2):
-            raise ValueError(f"stride must be 1 or 2, got {self.stride}")
         if min(self.mid_channels, self.out_channels, self.se_reduction) < 1:
             raise ValueError("block channels and se_reduction must be >= 1")
 
 
 @dataclass(frozen=True)
 class StageSpec:
+    """`blocks` copies of one bottleneck; Network sets their strides."""
+
     blocks: int
-    first_stride: int
     block: BlockSpec
 
     def __post_init__(self) -> None:
@@ -441,7 +439,8 @@ class Bottleneck(Layer):
 
 
 class Network(Layer):
-    """Stem + stages + classifier head, built from a ModelSpec."""
+    """Stem + stages + classifier head, built from a ModelSpec; the first
+    block of every stage after the first has stride 2, every other stride 1."""
 
     def __init__(self, spec: ModelSpec, seed: int = 0):
         rng = _rng(seed)
@@ -455,7 +454,7 @@ class Network(Layer):
         in_c = spec.stem_channels
         for i, st in enumerate(spec.stages, start=1):
             for b in range(st.blocks):
-                stride = st.first_stride if b == 0 else 1
+                stride = 2 if i > 1 and b == 0 else 1
                 self.layers.append((f"layer{i}.{b}", Bottleneck(st.block, in_c, stride, rng)))
                 in_c = st.block.out_channels
         self.layers += [("gap", GlobalAvgPool()), ("fc", Linear(in_c, spec.num_classes, bias=True, rng=rng))]
@@ -503,14 +502,14 @@ _BASE_WIDTHS = (64, 128, 256, 512)
 _REPEATS = {"50": (3, 4, 6, 3), "101": (3, 4, 23, 3)}
 
 
-def _family_spec(name, kind, repeats, num_classes, widths=_BASE_WIDTHS, psa_of=None):
+def _family_spec(name, kind, repeats, num_classes, widths=_BASE_WIDTHS, psa_of=None,
+                 outs=tuple(4 * w for w in _BASE_WIDTHS), stem_channels=64):
     stages = []
-    for i, (m, reps) in enumerate(zip(widths, repeats)):
-        out = 4 * _BASE_WIDTHS[i]
+    for m, out, reps in zip(widths, outs, repeats):
         psa = psa_of(m) if psa_of else None
         block = BlockSpec(kind=kind, mid_channels=m, out_channels=out, psa=psa)
-        stages.append(StageSpec(blocks=reps, first_stride=1 if i == 0 else 2, block=block))
-    return ModelSpec(name=name, stages=tuple(stages), num_classes=num_classes)
+        stages.append(StageSpec(blocks=reps, block=block))
+    return ModelSpec(name=name, stages=tuple(stages), num_classes=num_classes, stem_channels=stem_channels)
 
 
 def _spec_for(name: str, num_classes: int) -> ModelSpec:
@@ -550,9 +549,9 @@ def build_model(name: str, num_classes: int = 1000, seed: int = 0) -> Model:
     return Model(spec, Network(spec, seed))
 
 
-def build_block(spec: BlockSpec, in_channels: int, stride: int | None = None, seed: int = 0):
+def build_block(spec: BlockSpec, in_channels: int, stride: int = 1, seed: int = 0):
     """Materialize a single bottleneck block."""
-    return Bottleneck(spec, in_channels, spec.stride if stride is None else stride, _rng(seed))
+    return Bottleneck(spec, in_channels, stride, _rng(seed))
 
 
 def build_epsanet50_with_groups(groups: Sequence[int], num_classes: int = 1000, seed: int = 0) -> Model:
@@ -584,17 +583,10 @@ def build_toy_epsanet(
     seed: int = 0,
 ) -> Model:
     """Reduced EPSANet for desk-scale training experiments."""
-    from .psa import default_groups
-
-    stages = []
-    in_c = stem_channels
-    for i, (m, reps) in enumerate(zip(widths, blocks)):
-        cfg = PsaConfig(m, 4, SMALL_KERNELS, default_groups(SMALL_KERNELS, m, 4))
-        block = BlockSpec(kind="epsa", mid_channels=m, out_channels=4 * m, psa=cfg)
-        stages.append(StageSpec(blocks=reps, first_stride=1 if i == 0 else 2, block=block))
-    spec = ModelSpec(
-        name="epsanet_toy", stages=tuple(stages),
-        num_classes=num_classes, stem_channels=stem_channels,
+    spec = _family_spec(
+        "epsanet_toy", "epsa", blocks, num_classes, widths=widths,
+        psa_of=lambda m: PsaConfig(m, 4, SMALL_KERNELS, default_groups(SMALL_KERNELS, m, 4)),
+        outs=tuple(4 * m for m in widths), stem_channels=stem_channels,
     )
     return Model(spec, Network(spec, seed))
 
@@ -633,26 +625,26 @@ def spec_to_config(spec: ModelSpec) -> dict:
 
 def config_to_spec(cfg: dict) -> ModelSpec:
     """Parse a model config. A missing field raises KeyError; a field of the
-    wrong JSON type (say, a number where a list or object belongs) or a
-    bad value raises ValueError."""
+    wrong JSON type (a float, bool or string where an integer belongs, or a
+    number where a list or object belongs) or a bad value raises ValueError,
+    naming the field where it can."""
     try:
         stages = []
-        for i, st in enumerate(cfg["stages"]):
-            mid = int(st["mid_channels"])
+        for st in _json(cfg["stages"], list, "stages"):
+            mid = _json(st["mid_channels"], int, "mid_channels")
             kind = st["kind"]
-            out = int(st.get("out_channels", 4 * mid))
+            out = _json(st.get("out_channels", 4 * mid), int, "out_channels")
             psa = PsaConfig.from_dict(mid, st["psa"]) if kind == "epsa" else None
             block = BlockSpec(
                 kind=kind, mid_channels=mid, out_channels=out, psa=psa,
-                se_reduction=int(st.get("se_reduction", 16)),
+                se_reduction=_json(st.get("se_reduction", 16), int, "se_reduction"),
             )
-            stride = 1 if i == 0 else 2
-            stages.append(StageSpec(blocks=int(st["repeats"]), first_stride=stride, block=block))
+            stages.append(StageSpec(blocks=_json(st["repeats"], int, "repeats"), block=block))
         return ModelSpec(
             name=str(cfg.get("name", "custom")),
             stages=tuple(stages),
-            num_classes=int(cfg.get("num_classes", 1000)),
-            stem_channels=int(cfg.get("stem_channels", 64)),
+            num_classes=_json(cfg.get("num_classes", 1000), int, "num_classes"),
+            stem_channels=_json(cfg.get("stem_channels", 64), int, "stem_channels"),
         )
     except TypeError as err:
         raise ValueError(f"a model config field has the wrong JSON type ({err})") from None
@@ -699,17 +691,22 @@ class ModelDescription:
         return row["operator"]
 
 
-def describe(model: Model | ModelSpec, input_size: int = 224) -> ModelDescription:
-    """Stage-by-stage structural listing with computed output sizes."""
-    spec = model.spec if isinstance(model, Model) else model
-    rows = []
-    size = conv_output_size(input_size, 7, 2, 3)
-    rows.append({"stage": "stem", "operator": f"7x7, {spec.stem_channels}, stride 2", "output_size": size})
-    size = conv_output_size(size, 3, 2, 1)
-    rows.append({"stage": "pool", "operator": "3x3 max pool, stride 2", "output_size": size})
+def describe(model: Model, input_size: int = 224) -> ModelDescription:
+    """Stage-by-stage structural listing; output sizes come from the
+    network's complexity ledger at a 1x3xSxS input."""
+    spec, layers = model.spec, dict(model.net.layers)
+    _, ledger = model.net.complexity((1, 3, input_size, input_size))
+    sizes = {r.name: r.output_shape[2] for r in ledger}
+    stem, pool = layers["stem.conv"].p, layers["maxpool"]
+    rows = [
+        {"stage": "stem", "operator": f"{stem.kernel}x{stem.kernel}, {stem.out_channels}, stride {stem.stride}",
+         "output_size": sizes["stem.conv"]},
+        {"stage": "pool", "operator": f"{pool.kernel}x{pool.kernel} max pool, stride {pool.stride}",
+         "output_size": sizes["maxpool"]},
+    ]
+    size = sizes["maxpool"]
     for i, st in enumerate(spec.stages, start=1):
-        if st.first_stride == 2:
-            size = conv_output_size(size, 3, 2, 1)
+        size = sizes[f"layer{i}.0.conv3"]
         b = st.block
         if b.kind == "epsa":
             mid_op = f"{_psa_label(b.psa)}, {b.mid_channels}"

@@ -71,6 +71,13 @@ def default_groups(kernels: Sequence[int], channels: int, scales: int) -> tuple[
     return tuple(out)
 
 
+def _json(value, kind: type, field: str):
+    """value, which must be of JSON type kind, int or list (a bool is no int)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"config field {field!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PsaConfig:
     """Hyperparameters of one PSA module."""
@@ -119,14 +126,16 @@ class PsaConfig:
         }
 
     @classmethod
-    def from_dict(cls, channels: int, d: dict, stride: int = 1) -> "PsaConfig":
+    def from_dict(cls, channels: int, d: dict) -> "PsaConfig":
+        """Parse the to_dict form as read from JSON. A count that is not a
+        JSON integer, or kernels/groups that are not JSON lists of them,
+        raise ValueError naming the field."""
         return cls(
             channels=channels,
-            scales=int(d["scales"]),
-            kernels=tuple(int(k) for k in d["kernels"]),
-            groups=tuple(int(g) for g in d["groups"]),
-            se_reduction=int(d.get("se_reduction", 16)),
-            stride=stride,
+            scales=_json(d["scales"], int, "scales"),
+            kernels=tuple(_json(k, int, "kernels") for k in _json(d["kernels"], list, "kernels")),
+            groups=tuple(_json(g, int, "groups") for g in _json(d["groups"], list, "groups")),
+            se_reduction=_json(d.get("se_reduction", 16), int, "se_reduction"),
         )
 
 

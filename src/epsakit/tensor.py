@@ -118,11 +118,6 @@ class Tensor:
         """Bitwise equality of shape and contents."""
         return self.shape == other.shape and np.array_equal(self._data, other._data)
 
-    def allclose(self, other: "Tensor", atol: float = 0.0, rtol: float = 0.0) -> bool:
-        return self.shape == other.shape and np.allclose(
-            self._data, other._data, atol=atol, rtol=rtol
-        )
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 

@@ -2,6 +2,12 @@
 cross-entropy, a step learning-rate schedule, and a synthetic separable
 dataset for overfitting checks.
 
+A checkpoint is one NumPy .npz file that holds every parameter and
+batch-norm running statistic under its dotted name. `save_params` puts it
+in place with a single rename, so a crash leaves the target holding the
+previous checkpoint or the new one, whole; `load_params` checks every
+entry before it writes any.
+
 The batch partition is shuffled once per run (not per epoch) so that a
 zero learning rate provably yields a flat loss curve; at 32-sample scale
 this costs nothing.
@@ -11,14 +17,14 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .models import Model
-from .tensor import NonFiniteError, Tensor, _wrap, load_t4, save_t4
+from .tensor import NonFiniteError, Tensor, _wrap
 
 __all__ = [
     "TrainConfig",
@@ -286,67 +292,53 @@ def train(model: Model, dataset: ToyDataset, cfg: TrainConfig) -> TrainingHistor
     return history
 
 
-def _pad4(shape: tuple[int, ...]) -> tuple[int, int, int, int]:
-    return tuple(list(shape) + [1] * (4 - len(shape)))
+def save_params(model: Model, path: str | Path) -> None:
+    """Write every parameter and batch-norm running statistic to one .npz
+    file, each array under its dotted name.
 
-
-def save_params(model: Model, directory: str | Path) -> None:
-    """Write every parameter (and batch-norm state) as a .t4 file plus a manifest.
-
-    The files go to a sibling temporary directory that then takes the
-    target's place, so a save that fails leaves the previous checkpoint
-    loadable and no temporary directory behind. The target is replaced
-    whole; a non-empty directory that holds no manifest is refused.
+    The archive goes to a sibling temporary file, which is flushed to disk
+    and then renamed onto `path` by one `os.replace`: at every instant `path`
+    holds the previous checkpoint (if any) or the new one, whole, and a save
+    that fails leaves no temporary file behind. A target that exists and is
+    not a zip archive (a directory, or any other file) is refused.
     """
-    directory = Path(os.path.abspath(directory))  # "." has no name to put a sibling by
-    if directory.exists() and not (directory / "manifest.json").exists() and any(directory.iterdir()):
-        raise ValueError(f"{directory} is not empty and holds no checkpoint")
-    tmp = directory.with_name(f".{directory.name}.{os.urandom(8).hex()}.tmp")
-    tmp.mkdir(parents=True)
+    path = Path(os.path.abspath(path))  # "." has no name to put a sibling by
+    if path.exists() and not (path.is_file() and zipfile.is_zipfile(path)):
+        raise ValueError(f"{path} exists and holds no checkpoint")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        manifest = {}
-        for name, value in {**model.net.params(), **model.net.state()}.items():
-            fname = name.replace(".", "__") + ".t4"
-            save_t4(Tensor(value.reshape(_pad4(value.shape))), tmp / fname)
-            manifest[name] = {"file": fname, "shape": list(value.shape)}
-        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        if not directory.exists():
-            os.replace(tmp, directory)
-            return
-        # A directory cannot be renamed onto a non-empty one: move the old
-        # checkpoint aside first, and back if the swap fails.
-        aside = tmp.with_suffix(".old")
-        os.replace(directory, aside)
-        try:
-            os.replace(tmp, directory)
-        except BaseException:
-            os.replace(aside, directory)
-            raise
-        shutil.rmtree(aside)
+        # Through a handle, so np.savez adds no .npz suffix to the name.
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **model.net.params(), **model.net.state())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
     finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        tmp.unlink(missing_ok=True)
 
 
-def load_params(model: Model, directory: str | Path) -> None:
+def load_params(model: Model, path: str | Path) -> None:
     """Load a checkpoint written by save_params.
 
     Raises KeyError when its entries differ from the model's parameters and
-    state, and ValueError on a wrong shape or a negative running_var;
-    either way before any write.
+    state, and ValueError on a wrong shape, a NaN or Inf, or a negative
+    running_var, or when path is not a zip archive; each before any write.
     """
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    if not zipfile.is_zipfile(path):
+        raise ValueError(f"{path} holds no checkpoint")
+    with np.load(path, allow_pickle=False) as archive:
+        values = {name: archive[name] for name in archive.files}
     state = model.net.state()
     current = {**model.net.params(), **state}
-    missing, extra = sorted(current.keys() - manifest.keys()), sorted(manifest.keys() - current.keys())
+    missing, extra = sorted(current.keys() - values.keys()), sorted(values.keys() - current.keys())
     if missing or extra:
         raise KeyError(f"checkpoint does not match the model: missing {missing}, extra {extra}")
-    values = {}
-    for name, meta in manifest.items():
-        values[name] = load_t4(directory / meta["file"]).data.reshape(meta["shape"])
-        if values[name].shape != current[name].shape:
-            raise ValueError(f"checkpoint entry {name!r}: shape {values[name].shape} != {current[name].shape}")
-        if name.endswith(".running_var") and np.any(values[name] < 0):
+    for name, value in values.items():
+        if value.shape != current[name].shape:
+            raise ValueError(f"checkpoint entry {name!r}: shape {value.shape} != {current[name].shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"checkpoint entry {name!r} has NaN or Inf")
+        if name.endswith(".running_var") and np.any(value < 0):
             raise ValueError(f"checkpoint entry {name!r}: running_var must be non-negative")
     for name, value in values.items():
         if name in state:

@@ -66,8 +66,9 @@ class TestDescribe:
         lambda c: c.update(stages=5),
         lambda c: c["stages"][0]["psa"].update(kernels=5),
         lambda c: c["stages"][0].update(psa=[1]),
+        lambda c: c["stages"][0].update(repeats=2.7),
     ], ids=["psa_group_0", "se_reduction_0", "mid_channels_0", "repeats_-2", "top_level_list",
-            "stages_number", "psa_kernels_number", "psa_list"])
+            "stages_number", "psa_kernels_number", "psa_list", "repeats_float"])
     def test_malformed_config_exit_2(self, capsys, tmp_path, edit):
         cfg = {
             "name": "custom", "num_classes": 7, "stem_channels": 32,

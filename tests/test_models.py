@@ -212,6 +212,32 @@ class TestConfigSchema:
         spec = config_to_spec(cfg)
         assert spec.stages[0].block.out_channels == 64
 
+    @pytest.mark.parametrize("field, edit", [
+        ("repeats", lambda c: c["stages"][0].update(repeats=2.7)),
+        ("repeats", lambda c: c["stages"][0].update(repeats=True)),
+        ("mid_channels", lambda c: c["stages"][0].update(mid_channels=32.9)),
+        ("out_channels", lambda c: c["stages"][0].update(out_channels="128")),
+        ("se_reduction", lambda c: c["stages"][1].update(se_reduction=4.0)),
+        ("scales", lambda c: c["stages"][0]["psa"].update(scales=4.0)),
+        ("kernels", lambda c: c["stages"][0]["psa"].update(kernels="3579")),
+        ("groups", lambda c: c["stages"][0]["psa"].update(groups=[1, 4, 8, True])),
+        ("num_classes", lambda c: c.update(num_classes=7.5)),
+        ("stem_channels", lambda c: c.update(stem_channels="32")),
+    ], ids=["repeats_float", "repeats_bool", "mid_channels_float", "out_channels_string",
+            "se_reduction_float", "psa_scales_float", "psa_kernels_string", "psa_groups_bool",
+            "num_classes_float", "stem_channels_string"])
+    def test_wrong_json_type_names_the_field(self, field, edit):
+        cfg = {
+            "name": "custom", "num_classes": 7, "stem_channels": 32,
+            "stages": [{"repeats": 1, "mid_channels": 32, "kind": "epsa", "out_channels": 128,
+                        "psa": {"scales": 4, "kernels": [3, 5, 7, 9], "groups": [1, 4, 8, 8]}},
+                       {"repeats": 1, "mid_channels": 32, "kind": "se", "se_reduction": 4}],
+        }
+        config_to_spec(cfg)
+        edit(cfg)
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            config_to_spec(cfg)
+
 
 class TestAblation:
     def test_three_rows_kernels(self):

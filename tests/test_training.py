@@ -1,16 +1,13 @@
 """Loss, optimizer, schedule, toy data, and end-to-end training behavior."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsakit import defaults, models, training
-from epsakit import tensor as tc
 from epsakit.ops import finite_difference_array
-from epsakit.tensor import NonFiniteError, Tensor
+from epsakit.tensor import NonFiniteError
 from epsakit.training import (
     ToyDataset,
     TrainConfig,
@@ -228,8 +225,14 @@ class TestTrainLoop:
         assert len(lines) == 1 + 2  # 16 samples / batch 8 = 2 steps
 
 
+def _rewrite(path, entries):
+    """Write entries as a checkpoint archive at path, with no suffix added."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **entries)
+
+
 class TestCheckpoint:
-    def test_t4_roundtrip_restores_outputs(self, tmp_path):
+    def test_roundtrip_restores_outputs(self, tmp_path):
         model, ds, cfg = tiny_setup(epochs=1)
         train(model, ds, cfg)
         logits_before = model.net.forward(ds.images, training=False)
@@ -244,30 +247,51 @@ class TestCheckpoint:
             fresh.net.forward(ds.images, training=False), logits_before, atol=0
         )
 
-    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _saved_then_changed(ckpt):
+        """Save a model to ckpt, then change its parameters; returns the
+        model and the saved values."""
         model, _, _ = tiny_setup()
-        ckpt = tmp_path / "ckpt"
         save_params(model, ckpt)
         saved = {k: v.copy() for k, v in {**model.net.params(), **model.net.state()}.items()}
         for name, value in model.net.params().items():
             model.net.set_param(name, value + 1.0)
+        return model, saved
 
-        real, written = tc.save_t4, []
-
-        def failing(t, path):
-            if len(written) == 3:
-                raise OSError("disk full")
-            written.append(path)
-            real(t, path)
-
-        monkeypatch.setattr(training, "save_t4", failing)
-        with pytest.raises(OSError, match="disk full"):
-            save_params(model, ckpt)
-        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+    @staticmethod
+    def _assert_loads(ckpt, saved):
         fresh, _, _ = tiny_setup(model_seed=5)
         load_params(fresh, ckpt)
         for k, v in {**fresh.net.params(), **fresh.net.state()}.items():
             assert np.array_equal(v, saved[k]), k
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        ckpt = tmp_path / "ckpt"
+        model, saved = self._saved_then_changed(ckpt)
+        real = np.savez
+
+        def failing(fh, **entries):
+            real(fh, **dict(list(entries.items())[:3]))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_params(model, ckpt)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        self._assert_loads(ckpt, saved)
+
+    def test_failed_rename_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        ckpt = tmp_path / "ckpt"
+        model, saved = self._saved_then_changed(ckpt)
+
+        def failing(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(training.os, "replace", failing)
+        with pytest.raises(OSError, match="rename failed"):
+            save_params(model, ckpt)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        self._assert_loads(ckpt, saved)
 
     def test_save_replaces_previous_checkpoint(self, tmp_path):
         model, _, _ = tiny_setup()
@@ -287,54 +311,80 @@ class TestCheckpoint:
             save_params(tiny_setup()[0], tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
 
+    def test_save_refuses_a_file_that_is_not_a_checkpoint(self, tmp_path):
+        (tmp_path / "ckpt").write_text("keep me")
+        with pytest.raises(ValueError, match="holds no checkpoint"):
+            save_params(tiny_setup()[0], tmp_path / "ckpt")
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        assert (tmp_path / "ckpt").read_text() == "keep me"
+
 
 class TestCheckpointValidation:
     @staticmethod
     def _saved(tmp_path):
         model, _, _ = tiny_setup()
-        save_params(model, tmp_path)
-        return model, json.loads((tmp_path / "manifest.json").read_text())
+        save_params(model, tmp_path / "ckpt")
+        with np.load(tmp_path / "ckpt") as archive:
+            return model, {name: archive[name] for name in archive.files}
 
     def test_missing_entry_rejected(self, tmp_path):
-        model, manifest = self._saved(tmp_path)
-        del manifest["fc.bias"]
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        model, entries = self._saved(tmp_path)
+        del entries["fc.bias"]
+        _rewrite(tmp_path / "ckpt", entries)
         with pytest.raises(KeyError, match="fc.bias"):
-            load_params(model, tmp_path)
+            load_params(model, tmp_path / "ckpt")
 
     def test_extra_entry_rejected(self, tmp_path):
-        model, manifest = self._saved(tmp_path)
-        manifest["fc.extra"] = manifest["fc.bias"]
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        model, entries = self._saved(tmp_path)
+        entries["fc.extra"] = entries["fc.bias"]
+        _rewrite(tmp_path / "ckpt", entries)
         with pytest.raises(KeyError, match="fc.extra"):
-            load_params(model, tmp_path)
+            load_params(model, tmp_path / "ckpt")
 
     def test_wrong_shape_rejected_before_any_write(self, tmp_path):
-        model, manifest = self._saved(tmp_path)
+        model, entries = self._saved(tmp_path)
         fresh = models.build_toy_epsanet(
             num_classes=4, widths=(16, 32), blocks=(1, 1), stem_channels=16, seed=5
         )
         before = {k: v.copy() for k, v in fresh.net.params().items()}
-        w = np.zeros((3, 16, 7, 7))
-        tc.save_t4(Tensor(w), tmp_path / manifest["stem.conv.weight"]["file"])
-        manifest["stem.conv.weight"]["shape"] = list(w.shape)
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        entries["stem.conv.weight"] = np.zeros((3, 16, 7, 7))
+        _rewrite(tmp_path / "ckpt", entries)
         with pytest.raises(ValueError):
-            load_params(fresh, tmp_path)
+            load_params(fresh, tmp_path / "ckpt")
         for k, v in fresh.net.params().items():
             assert np.array_equal(v, before[k]), k
 
     def test_negative_running_var_rejected_before_any_write(self, tmp_path):
-        model, manifest = self._saved(tmp_path)
-        var = model.net.state()["stem.bn.running_var"].copy()
-        var[0] = -1.0
-        tc.save_t4(Tensor(var.reshape(-1, 1, 1, 1)), tmp_path / manifest["stem.bn.running_var"]["file"])
+        model, entries = self._saved(tmp_path)
+        entries["stem.bn.running_var"][0] = -1.0
+        _rewrite(tmp_path / "ckpt", entries)
         fresh = models.build_toy_epsanet(
             num_classes=4, widths=(16, 32), blocks=(1, 1), stem_channels=16, seed=5
         )
         before = {k: v.copy() for k, v in {**fresh.net.params(), **fresh.net.state()}.items()}
         with pytest.raises(ValueError, match="stem.bn.running_var"):
-            load_params(fresh, tmp_path)
+            load_params(fresh, tmp_path / "ckpt")
+        for k, v in {**fresh.net.params(), **fresh.net.state()}.items():
+            assert np.array_equal(v, before[k]), k
+
+    def test_load_refuses_what_is_not_a_checkpoint(self, tmp_path):
+        np.save(tmp_path / "x.npy", np.zeros(3))
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "manifest.json").write_text("{}")
+        for path in (tmp_path / "x.npy", tmp_path / "old"):
+            with pytest.raises(ValueError, match="holds no checkpoint"):
+                load_params(tiny_setup()[0], path)
+
+    @pytest.mark.parametrize("name", ["fc.bias", "layer2.0.bn3.running_mean"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_entry_rejected_before_any_write(self, tmp_path, name, value):
+        _, entries = self._saved(tmp_path)
+        entries[name][0] = value
+        _rewrite(tmp_path / "ckpt", entries)
+        fresh, _, _ = tiny_setup(model_seed=5)
+        before = {k: v.copy() for k, v in {**fresh.net.params(), **fresh.net.state()}.items()}
+        with pytest.raises(ValueError, match=name):
+            load_params(fresh, tmp_path / "ckpt")
         for k, v in {**fresh.net.params(), **fresh.net.state()}.items():
             assert np.array_equal(v, before[k]), k
 
