@@ -5,15 +5,7 @@ parameter/FLOP accounting, finite-difference gradient verification, and a
 desk-scale training harness.
 """
 
-from .tensor import (
-    NonFiniteError,
-    Shape,
-    Tensor,
-    load_t4,
-    random_uniform,
-    save_t4,
-    zeros,
-)
+from .tensor import NonFiniteError, Tensor, random_uniform
 from .ops import (
     BatchNormParams,
     Conv2dParams,

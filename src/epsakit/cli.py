@@ -66,7 +66,7 @@ def cmd_gradcheck(args) -> int:
     if args.format == "json":
         payload = [
             {"name": r.name, "max_rel_error": r.max_rel_error,
-             "tolerance": r.tolerance, "passed": r.passed}
+             "tolerance": gradcheck.TOLERANCE, "passed": r.passed}
             for r in results
         ]
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)

@@ -52,7 +52,7 @@ class ComplexityReport:
     total_flops: int
     input_shape: tuple[int, int, int, int]
     per_layer: list[LayerRow]
-    convention: str = CONVENTION
+    convention = CONVENTION  # not a field: every report uses the one convention
 
     @property
     def params_m(self) -> float:

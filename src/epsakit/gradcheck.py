@@ -35,11 +35,10 @@ SCOPES = ("ops", "psa", "block")
 class CheckResult:
     name: str
     max_rel_error: float
-    tolerance: float = TOLERANCE
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
+        return self.max_rel_error < TOLERANCE
 
 
 class _Suite:
@@ -186,7 +185,7 @@ def report_text(results: list[CheckResult]) -> str:
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{status}  {r.name:<28s} max_rel_err={r.max_rel_error:.3e} tol={r.tolerance:.0e}")
+        lines.append(f"{status}  {r.name:<28s} max_rel_err={r.max_rel_error:.3e} tol={TOLERANCE:.0e}")
     n_fail = sum(not r.passed for r in results)
     lines.append(f"{len(results) - n_fail}/{len(results)} gradient checks passed")
     return "\n".join(lines)

@@ -59,6 +59,8 @@ __all__ = [
     "Conv2dParams",
     "LinearParams",
     "BatchNormParams",
+    "BN_EPS",
+    "BN_MOMENTUM",
     "GradPair",
     "conv2d",
     "conv_output_size",
@@ -188,6 +190,11 @@ class LinearParams:
         return self.weight.size + (0 if self.bias is None else self.bias.size)
 
 
+# Batch norm's variance offset and running-statistics momentum (torch defaults).
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+
 @dataclass
 class BatchNormParams:
     """Per-channel affine normalization state.
@@ -200,8 +207,6 @@ class BatchNormParams:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.1
 
     def __post_init__(self) -> None:
         c = self.gamma.shape[0]
@@ -210,8 +215,6 @@ class BatchNormParams:
                 raise ValueError(f"batch-norm field {name} has wrong length")
         if np.any(self.running_var < 0):
             raise ValueError("running_var must be non-negative")
-        if self.eps <= 0 or not (0.0 < self.momentum < 1.0):
-            raise ValueError(f"bad eps/momentum: {self.eps}/{self.momentum}")
 
     @classmethod
     def init(cls, channels: int) -> "BatchNormParams":
@@ -517,8 +520,8 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> GradPair:
         out = np.subtract(xd, mean[None, :, None, None])
         var = np.einsum("nchw,nchw->c", out, out) / m
         corr = m / (m - 1) if m > 1 else 1.0
-        p.running_mean[:] = (1 - p.momentum) * p.running_mean + p.momentum * mean
-        p.running_var[:] = (1 - p.momentum) * p.running_var + p.momentum * var * corr
+        p.running_mean[:] = (1 - BN_MOMENTUM) * p.running_mean + BN_MOMENTUM * mean
+        p.running_var[:] = (1 - BN_MOMENTUM) * p.running_var + BN_MOMENTUM * var * corr
     else:
         # Copies: a later training forward updates the running statistics
         # in place, and this forward's backward must not see that.
@@ -526,7 +529,7 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> GradPair:
         var = p.running_var
         out = np.empty_like(xd)
 
-    inv_std = 1.0 / np.sqrt(var + p.eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     # The backward uses the scale this forward computed, even if gamma is
     # replaced in between.
     scale = p.gamma * inv_std

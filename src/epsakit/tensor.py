@@ -5,57 +5,17 @@ array is flagged read-only, so an accidental in-place edit fails loudly,
 and constructing one from non-finite data raises `NonFiniteError`.
 `_wrap` is how the ops wrap a freshly computed array: it keeps the
 finiteness check, which is where NaN or Inf is first caught, but skips
-the copy. `zeros` and `random_uniform` build tensors from a shape, the
-latter deterministically from a seed, and `save_t4`/`load_t4` write and
-read the `.t4` file format described above them.
+the copy. `random_uniform` builds a tensor of a given shape
+deterministically from a seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "Shape",
-    "Tensor",
-    "NonFiniteError",
-    "zeros",
-    "random_uniform",
-    "save_t4",
-    "load_t4",
-]
-
-
-@dataclass(frozen=True)
-class Shape:
-    """Four strictly positive dimensions: batch, channels, height, width."""
-
-    n: int
-    c: int
-    h: int
-    w: int
-
-    def __post_init__(self) -> None:
-        for name in ("n", "c", "h", "w"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v <= 0:
-                raise ValueError(f"shape dimension {name}={v!r} must be a positive integer")
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.n, self.c, self.h, self.w)
-
-    @property
-    def size(self) -> int:
-        return self.n * self.c * self.h * self.w
-
-
-def _as_shape(shape: Shape | Sequence[int]) -> Shape:
-    if isinstance(shape, Shape):
-        return shape
-    return Shape(*(int(d) for d in shape))
+__all__ = ["Tensor", "NonFiniteError", "random_uniform"]
 
 
 class NonFiniteError(ValueError):
@@ -114,64 +74,23 @@ class Tensor:
     def size(self) -> int:
         return self._data.size
 
-    def equals(self, other: "Tensor") -> bool:
-        """Bitwise equality of shape and contents."""
-        return self.shape == other.shape and np.array_equal(self._data, other._data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
 
 def _wrap(arr: np.ndarray) -> Tensor:
-    """Wrap a freshly computed array.
-
-    Still validates finiteness: the cheap check is what turns silent numeric
-    blow-ups (e.g. a diverging training run) into a catchable NonFiniteError.
-    """
+    """Wrap a freshly computed array, copying it only if it is not contiguous
+    float64. NaN or Inf raises NonFiniteError, where it first appears."""
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("operation produced NaN or Inf")
     return Tensor(None, _trusted=np.ascontiguousarray(arr, dtype=np.float64))
 
 
-def zeros(shape: Shape | Sequence[int]) -> Tensor:
-    s = _as_shape(shape)
-    return _wrap(np.zeros(s.as_tuple()))
-
-
-def random_uniform(
-    shape: Shape | Sequence[int], seed: int, low: float = 0.0, high: float = 1.0
-) -> Tensor:
+def random_uniform(shape: Sequence[int], seed: int, low: float = 0.0, high: float = 1.0) -> Tensor:
     """Deterministic uniform samples in [low, high) for a fixed seed."""
     if not low < high:
         raise ValueError(f"invalid range: low={low} must be < high={high}")
-    s = _as_shape(shape)
+    if len(shape) != 4 or not all(isinstance(d, (int, np.integer)) and d > 0 for d in shape):
+        raise ValueError(f"shape {tuple(shape)} must be four positive integers")
     rng = np.random.Generator(np.random.PCG64(seed))
-    return _wrap(rng.uniform(low, high, size=s.as_tuple()))
-
-
-# Serialization: 4 little-endian uint32 shape fields, then the float64
-# payload in row-major (N, C, H, W) order. Extension: .t4
-_SHAPE_DTYPE = np.dtype("<u4")
-_DATA_DTYPE = np.dtype("<f8")
-
-
-def save_t4(x: Tensor, path: str | Path) -> None:
-    path = Path(path)
-    header = np.asarray(x.shape, dtype=_SHAPE_DTYPE)
-    with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(np.ascontiguousarray(x.data, dtype=_DATA_DTYPE).tobytes())
-
-
-def load_t4(path: str | Path) -> Tensor:
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 4 * _SHAPE_DTYPE.itemsize:
-        raise ValueError(f"{path}: truncated header")
-    header = np.frombuffer(raw[: 4 * _SHAPE_DTYPE.itemsize], dtype=_SHAPE_DTYPE)
-    shape = tuple(int(v) for v in header)
-    expected = 4 * _SHAPE_DTYPE.itemsize + int(np.prod(shape)) * _DATA_DTYPE.itemsize
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes for shape {shape}, got {len(raw)}")
-    data = np.frombuffer(raw[4 * _SHAPE_DTYPE.itemsize :], dtype=_DATA_DTYPE)
-    return Tensor(data.reshape(shape).astype(np.float64))
+    return _wrap(rng.uniform(low, high, size=tuple(shape)))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -89,7 +90,8 @@ class TrainingDiverged(RuntimeError):
     `layer` is the dotted name of the layer whose output or input gradient
     went non-finite, of the parameter the update made non-finite, or None
     for the loss. `last_finite_loss` is the last finite loss the run saw,
-    None if it failed before its first. A NonFiniteError is the __cause__.
+    None if it failed before its first. In the forward and backward phases
+    a NonFiniteError is the __cause__; a loss or update failure has none.
     """
 
     def __init__(self, step: int, phase: str, layer: str | None, last_finite_loss: float | None):
@@ -292,6 +294,15 @@ def train(model: Model, dataset: ToyDataset, cfg: TrainConfig) -> TrainingHistor
     return history
 
 
+def _holds_checkpoint(path: Path) -> bool:
+    """Whether path is a zip archive of .npy entries only, as np.savez writes."""
+    try:
+        with zipfile.ZipFile(path) as archive:
+            return all(name.endswith(".npy") for name in archive.namelist())
+    except (zipfile.BadZipFile, OSError):
+        return False
+
+
 def save_params(model: Model, path: str | Path) -> None:
     """Write every parameter and batch-norm running statistic to one .npz
     file, each array under its dotted name.
@@ -300,11 +311,18 @@ def save_params(model: Model, path: str | Path) -> None:
     and then renamed onto `path` by one `os.replace`: at every instant `path`
     holds the previous checkpoint (if any) or the new one, whole, and a save
     that fails leaves no temporary file behind. A target that exists and is
-    not a zip archive (a directory, or any other file) is refused.
+    not a zip archive of .npy entries only is refused. Temporary files left
+    by killed saves to `path` are removed first, so concurrent saves to one
+    path are unsupported: the one whose file was removed fails loudly at its
+    `os.replace`, leaving `path` intact.
     """
     path = Path(os.path.abspath(path))  # "." has no name to put a sibling by
-    if path.exists() and not (path.is_file() and zipfile.is_zipfile(path)):
+    if path.exists() and not (path.is_file() and _holds_checkpoint(path)):
         raise ValueError(f"{path} exists and holds no checkpoint")
+    stale = re.compile(re.escape(f".{path.name}.") + "[0-9a-f]{16}" + re.escape(".tmp"))
+    for sibling in path.parent.iterdir():
+        if stale.fullmatch(sibling.name) and sibling.is_file():
+            sibling.unlink(missing_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         # Through a handle, so np.savez adds no .npz suffix to the name.

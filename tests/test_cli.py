@@ -7,6 +7,7 @@ import pytest
 
 from epsakit import models, ops, psa, training
 from epsakit.cli import main
+from epsakit.gradcheck import report_text
 from epsakit.models import build_from_config, config_to_spec
 
 
@@ -120,12 +121,12 @@ class TestComplexity:
 
 
 class TestGradcheck:
-    def test_deterministic_report(self, capsys):
-        code_a, a, _ = run(capsys, "gradcheck", "psa", "--seed", "7")
-        code_b, b, _ = run(capsys, "gradcheck", "psa", "--seed", "7")
-        assert code_a == code_b == 0
-        assert "gradient checks passed" in a
-        assert a == b
+    def test_deterministic_report(self, capsys, gradcheck_run):
+        # The CLI run against an independent in-process run of the same suite.
+        code, out, _ = run(capsys, "gradcheck", "psa", "--seed", "7")
+        assert code == 0
+        assert "gradient checks passed" in out
+        assert out == report_text(gradcheck_run("psa", 7)) + "\n"
 
     def test_corrupted_backward_nonzero_exit(self, capsys, monkeypatch):
         # psa looks the op up under its own name

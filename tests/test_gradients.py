@@ -1,7 +1,5 @@
 """Analytic backward passes vs the central finite-difference oracle."""
 
-from functools import cache
-
 import numpy as np
 import pytest
 
@@ -11,18 +9,13 @@ from epsakit.models import Conv
 from epsakit.tensor import Tensor
 
 
-@cache
-def _suite(scope, seed):
-    return run_suite(scope, seed)
-
-
 @pytest.mark.parametrize("scope", SCOPES)
-def test_suite_passes(scope):
-    for seed in (0, 7):
-        results = _suite(scope, seed)
-        assert results, "suite produced no checks"
-        failed = [r for r in results if not r.passed]
-        assert not failed, report_text(results)
+def test_suite_passes(scope, gradcheck_run):
+    # Seed 0 passing in every scope is asserted by test_criterion_3.
+    results = gradcheck_run(scope, 7)
+    assert results, "suite produced no checks"
+    failed = [r for r in results if not r.passed]
+    assert not failed, report_text(results)
 
 
 CHECK_NAMES = {
@@ -52,8 +45,8 @@ CHECK_NAMES = {
 
 
 @pytest.mark.parametrize("scope", SCOPES)
-def test_check_names_pinned(scope):
-    assert [r.name for r in _suite(scope, 0)] == CHECK_NAMES[scope]
+def test_check_names_pinned(scope, gradcheck_run):
+    assert [r.name for r in gradcheck_run(scope, 7)] == CHECK_NAMES[scope]
 
 
 def test_check_restores_parameters_bitwise():
@@ -66,8 +59,8 @@ def test_check_restores_parameters_bitwise():
     assert all(np.array_equal(after[k], v) for k, v in before.items())
 
 
-def test_suite_is_deterministic():
-    a = _suite("psa", 7)
+def test_suite_is_deterministic(gradcheck_run):
+    a = gradcheck_run("psa", 7)
     b = run_suite("psa", seed=7)
     assert [(r.name, r.max_rel_error) for r in a] == [(r.name, r.max_rel_error) for r in b]
 

@@ -279,13 +279,13 @@ class TestBatchNorm:
             else:
                 mean, var = p.running_mean.copy(), p.running_var.copy()
             gp = ops.batch_norm(Tensor(x), p, training)
-            want = naive_batch_norm(x, p.gamma, p.beta, mean, var, p.eps)
+            want = naive_batch_norm(x, p.gamma, p.beta, mean, var, ops.BN_EPS)
             np.testing.assert_allclose(gp.output.data, want, rtol=0, atol=1e-12 * np.abs(want).max())
             dy = rng.standard_normal(x.shape)
             got_dx, got = gp.backward(dy)
-            want_dx = naive_batch_norm_dx(dy, x, p.gamma, mean, var, p.eps, training)
+            want_dx = naive_batch_norm_dx(dy, x, p.gamma, mean, var, ops.BN_EPS, training)
             np.testing.assert_allclose(got_dx, want_dx, rtol=0, atol=1e-12 * np.abs(want_dx).max())
-            for name, want in zip(("gamma", "beta"), naive_batch_norm_dparams(dy, x, mean, var, p.eps)):
+            for name, want in zip(("gamma", "beta"), naive_batch_norm_dparams(dy, x, mean, var, ops.BN_EPS)):
                 np.testing.assert_allclose(got[name], want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 

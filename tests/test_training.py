@@ -1,5 +1,7 @@
 """Loss, optimizer, schedule, toy data, and end-to-end training behavior."""
 
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,7 +139,7 @@ class TestToyDataset:
     def test_deterministic(self):
         a = make_toy_dataset(seed=7, m=16, classes=4, size=16)
         b = make_toy_dataset(seed=7, m=16, classes=4, size=16)
-        assert a.images.equals(b.images)
+        assert np.array_equal(a.images.data, b.images.data)
         assert np.array_equal(a.labels, b.labels)
 
     def test_labels_cover_all_classes(self):
@@ -317,6 +319,28 @@ class TestCheckpoint:
             save_params(tiny_setup()[0], tmp_path / "ckpt")
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
         assert (tmp_path / "ckpt").read_text() == "keep me"
+
+    def test_save_refuses_a_zip_archive_that_is_not_a_checkpoint(self, tmp_path):
+        doc = tmp_path / "notes.docx"
+        with zipfile.ZipFile(doc, "w") as archive:
+            archive.writestr("[Content_Types].xml", "<Types/>")
+            archive.writestr("word/document.xml", "<w:document/>")
+        before = doc.read_bytes()
+        with pytest.raises(ValueError, match="holds no checkpoint"):
+            save_params(tiny_setup()[0], doc)
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.docx"]
+        assert doc.read_bytes() == before
+
+    def test_save_removes_only_its_own_stale_temporary_files(self, tmp_path):
+        # Left by a save to ckpt killed before its rename.
+        (tmp_path / ".ckpt.27fc0d40734ee638.tmp").write_bytes(b"partial archive")
+        kept = [".ckpt.notes.tmp", ".ckpt.27fc0d40734ee6.tmp", ".ckpt.27FC0D40734EE638.tmp",
+                ".ckpt2.27fc0d40734ee638.tmp", "ckpt.27fc0d40734ee638.tmp"]
+        for name in kept:
+            (tmp_path / name).write_text("keep me")
+        save_params(tiny_setup()[0], tmp_path / "ckpt")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["ckpt", *kept])
+        assert all((tmp_path / name).read_text() == "keep me" for name in kept)
 
 
 class TestCheckpointValidation:
