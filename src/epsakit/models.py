@@ -8,7 +8,9 @@ x and y are Tensors; dy, dx and the gradients are plain ndarrays. When
 `training` is false, a composite returns vjp=None and keeps no closure, so
 an eval forward frees each activation once the next layer has read it (a
 leaf still returns its op's backward, which the chain drops). The chain
-checks each child's dx for NaN/Inf once. A NonFiniteError from either
+checks each child's dx for NaN/Inf once. Those checks, like the ones on
+forward values and on parameters in `set_param`, go through
+`tensor._all_finite`, one BLAS dot per array. A NonFiniteError from either
 pass gets `layer`, the dotted name of the layer that failed, prefixed at
 each level it passes up, and `phase`, "forward" or "backward".
 
@@ -48,7 +50,7 @@ import numpy as np
 from . import ops
 from .ops import BatchNormParams, Conv2dParams, LinearParams, _rng, conv_output_size
 from .psa import PsaConfig, PsaParams, SeWeightParams, _json, _se_weight_grad, default_groups, psa_with_grad
-from .tensor import NonFiniteError, Tensor, _wrap
+from .tensor import NonFiniteError, Tensor, _all_finite, _wrap
 
 __all__ = [
     "Layer",
@@ -123,7 +125,7 @@ def _chain(layers, x: Tensor, training: bool):
         for name, v in reversed(vjps):
             with _located(name, "backward"):
                 dy, g = v(dy)
-                if not np.isfinite(dy).all():
+                if not _all_finite(dy):
                     raise NonFiniteError("gradient has NaN or Inf")
             grads.update({f"{name}.{k}": a for k, a in g.items()})
         return dy, grads
@@ -185,7 +187,7 @@ class Layer:
         value = np.array(value, dtype=np.float64)
         if value.shape != old.shape:
             raise ValueError(f"{name}: shape {value.shape} != {old.shape}")
-        if not np.isfinite(value).all():
+        if not _all_finite(value):
             err = NonFiniteError(f"{name} has NaN or Inf")
             err.layer = name
             raise err

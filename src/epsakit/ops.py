@@ -7,8 +7,10 @@ finite-difference oracle that also lives here.
 
 Forward values are `Tensor`s: read-only, and checked finite as each op
 wraps its output, so NaN or Inf raises `NonFiniteError` where it first
-appears. Gradients are plain float64 ndarrays: a backward takes dy with
-the output's shape and returns dx with the input's shape, unwrapped and
+appears. That check, like every other finiteness guard in the package,
+is `tensor._all_finite`: one BLAS dot of the output with itself, exact.
+Gradients are plain float64 ndarrays: a backward takes dy with the
+output's shape and returns dx with the input's shape, unwrapped and
 unchecked (the layer chain in `models` checks each layer's dx once), and
 parameter gradients are ndarrays keyed by parameter name. A GradPair
 unpacks as (output, backward).

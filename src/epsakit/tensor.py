@@ -7,10 +7,24 @@ and constructing one from non-finite data raises `NonFiniteError`.
 finiteness check, which is where NaN or Inf is first caught, but skips
 the copy. `random_uniform` builds a tensor of a given shape
 deterministically from a seed.
+
+Every finiteness guard in the package, on forward values, gradients,
+parameters, updates and checkpoint entries, goes through `_all_finite`.
+For a C-contiguous float64 array it takes the sum of squares `flat @
+flat`: one BLAS dot, which runs on the BLAS threads and allocates no
+temporary. The check is exact. Every square is non-negative, so no two
+terms cancel: a NaN anywhere makes the sum NaN and an Inf makes it Inf,
+while a sum of finite squares is finite unless it overflows (a single
+|x| above about 1.3e154 is enough). Only when the sum is not finite does
+it decide by the element-wise `np.isfinite(a).all()`, so a finite array
+whose squares overflow is still accepted; any other layout or dtype goes
+straight to that scan. Overflow and underflow in the dot are silenced, so
+the check warns or raises under no `np.errstate`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +54,7 @@ class Tensor:
                 raise ValueError(f"tensor data must be 4-D, got ndim={arr.ndim}")
             if min(arr.shape) <= 0:
                 raise ValueError(f"tensor dimensions must be positive, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
+            if not _all_finite(arr):
                 raise NonFiniteError("tensor data contains NaN or Inf")
         arr.setflags(write=False)
         self._data = arr
@@ -78,12 +92,23 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether a holds no NaN or Inf, exactly; see the module docstring."""
+    if a.dtype == np.float64 and a.flags.c_contiguous:
+        flat = a.reshape(-1)
+        with np.errstate(over="ignore", under="ignore"):
+            if math.isfinite(flat @ flat):
+                return True
+    return bool(np.isfinite(a).all())
+
+
 def _wrap(arr: np.ndarray) -> Tensor:
     """Wrap a freshly computed array, copying it only if it is not contiguous
     float64. NaN or Inf raises NonFiniteError, where it first appears."""
-    if not np.all(np.isfinite(arr)):
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    if not _all_finite(arr):
         raise NonFiniteError("operation produced NaN or Inf")
-    return Tensor(None, _trusted=np.ascontiguousarray(arr, dtype=np.float64))
+    return Tensor(None, _trusted=arr)
 
 
 def random_uniform(shape: Sequence[int], seed: int, low: float = 0.0, high: float = 1.0) -> Tensor:

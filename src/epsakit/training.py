@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import Model
-from .tensor import NonFiniteError, Tensor, _wrap
+from .tensor import NonFiniteError, Tensor, _all_finite, _wrap
 
 __all__ = [
     "TrainConfig",
@@ -254,7 +254,7 @@ def train(model: Model, dataset: ToyDataset, cfg: TrainConfig) -> TrainingHistor
                 params = model.net.params()
                 new_params, state = sgd_step(params, grads, state, cfg, lr=lr, no_decay=no_decay)
                 for name, value in new_params.items():
-                    if not np.isfinite(value).all():
+                    if not _all_finite(value):
                         raise TrainingDiverged(step, "update", name, last_loss)
                 for name, value in new_params.items():
                     model.net.set_param(name, value)
@@ -294,7 +294,7 @@ def train(model: Model, dataset: ToyDataset, cfg: TrainConfig) -> TrainingHistor
     return history
 
 
-def _holds_checkpoint(path: Path) -> bool:
+def _holds_checkpoint(path: str | Path) -> bool:
     """Whether path is a zip archive of .npy entries only, as np.savez writes."""
     try:
         with zipfile.ZipFile(path) as archive:
@@ -340,9 +340,10 @@ def load_params(model: Model, path: str | Path) -> None:
 
     Raises KeyError when its entries differ from the model's parameters and
     state, and ValueError on a wrong shape, a NaN or Inf, or a negative
-    running_var, or when path is not a zip archive; each before any write.
+    running_var, or when path is not a zip archive of .npy entries only (the
+    rule `save_params` refuses a target by); each before any write.
     """
-    if not zipfile.is_zipfile(path):
+    if not _holds_checkpoint(path):
         raise ValueError(f"{path} holds no checkpoint")
     with np.load(path, allow_pickle=False) as archive:
         values = {name: archive[name] for name in archive.files}
@@ -354,7 +355,7 @@ def load_params(model: Model, path: str | Path) -> None:
     for name, value in values.items():
         if value.shape != current[name].shape:
             raise ValueError(f"checkpoint entry {name!r}: shape {value.shape} != {current[name].shape}")
-        if not np.isfinite(value).all():
+        if not _all_finite(value):
             raise ValueError(f"checkpoint entry {name!r} has NaN or Inf")
         if name.endswith(".running_var") and np.any(value < 0):
             raise ValueError(f"checkpoint entry {name!r}: running_var must be non-negative")

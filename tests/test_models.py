@@ -288,6 +288,27 @@ class TestLayerProtocol:
         for k, v in after.items():
             assert v is before[k] and np.array_equal(v, saved[k]), k
 
+    @pytest.mark.parametrize("name", ["fc.weight", "layer1.0.bn1.gamma", "layer1.0.conv1.weight"])
+    def test_set_param_accepts_huge_finite_values(self, name):
+        """1e200 squared overflows; the finiteness check must still pass it."""
+        net = build_toy_epsanet(seed=0).net
+        new = net.params()[name].copy()
+        new.flat[-1] = 1e200
+        with np.errstate(all="raise"):
+            net.set_param(name, new)
+        assert np.array_equal(net.params()[name], new)
+
+    def test_chain_passes_a_huge_finite_gradient(self):
+        class Emit(models.Layer):
+            def apply(self, x, training):
+                return x, lambda dy: (np.full(x.shape, 1e200), {})
+
+        x = random_uniform((1, 2, 3, 3), seed=0)
+        _, vjp = models._chain([("emit", Emit())], x, training=True)
+        with np.errstate(all="raise"):
+            dx, grads = vjp(np.ones(x.shape))
+        assert np.all(dx == 1e200) and grads == {}
+
     def test_every_param_round_trips(self):
         net = build_toy_epsanet(seed=0).net
         for i, (name, value) in enumerate(net.params().items()):

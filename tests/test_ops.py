@@ -7,7 +7,7 @@ import pytest
 
 from epsakit import ops
 from epsakit.ops import BatchNormParams, Conv2dParams, LinearParams
-from epsakit.tensor import NonFiniteError, Tensor
+from epsakit.tensor import NonFiniteError, Tensor, _wrap
 
 from oracles import (
     naive_batch_norm,
@@ -506,6 +506,12 @@ class TestAllocationBudget:
         dy = rng.standard_normal(x.shape)
         _, peak, _ = self.traced(lambda: gp.backward(dy))
         assert peak <= 1.25 * gp.output.data.nbytes
+
+    def test_wrap_allocates_no_temporary(self, rng):
+        """The finiteness check reads the array it wraps and builds no mask."""
+        a = rng.standard_normal((1, 64, 56, 56))
+        t, peak, _ = self.traced(lambda: _wrap(a))
+        assert t.data.base is a and peak < 0.01 * a.nbytes
 
     def test_max_pool_peak(self, rng):
         x = Tensor(rng.standard_normal((1, 64, 112, 112)))

@@ -1,4 +1,6 @@
-"""Tensor core: layout, purity, determinism."""
+"""Tensor core: layout, purity, determinism, the finiteness check."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -84,3 +86,70 @@ class TestPurity:
         Tensor(a)
         assert a.flags.writeable and np.array_equal(a, snapshot)
 
+
+@pytest.fixture
+def strict():
+    """Every numpy floating-point warning raises, as does any warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            yield
+
+
+def _layouts(rng):
+    """name -> writable array of 16,384 elements: C-contiguous, a transposed
+    copy and a strided view."""
+    base = rng.standard_normal((2, 8, 32, 64))
+    return {
+        "contiguous": base[:, :, :, :32].copy(),
+        "transposed": base[:, :, :, :32].copy().transpose(0, 1, 3, 2),
+        "strided": base[:, :, :, ::2],
+    }
+
+
+LAYOUTS = ["contiguous", "transposed", "strided"]
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_is_caught(self, strict, rng, layout, where, bad):
+        a = _layouts(rng)[layout]
+        assert a.flags.c_contiguous == (layout == "contiguous")
+        flat = {"first": 0, "middle": a.size // 2, "last": a.size - 1}[where]
+        a[np.unravel_index(flat, a.shape)] = bad
+        assert tc._all_finite(a) is False
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("extreme", [1e200, -1e200, np.finfo(float).max, -np.finfo(float).max,
+                                         1e-200, np.finfo(float).smallest_subnormal])
+    def test_finite_values_whose_squares_overflow_or_underflow_pass(self, strict, rng, layout, extreme):
+        a = _layouts(rng)[layout]
+        assert tc._all_finite(a) is True
+        a[np.unravel_index(a.size // 3, a.shape)] = extreme
+        assert tc._all_finite(a) is True
+        a[...] = extreme
+        assert tc._all_finite(a) is True
+
+    def test_other_dtypes(self, strict):
+        assert tc._all_finite(np.arange(12).reshape(3, 4)) is True
+        assert tc._all_finite(np.array([1.0, np.nan], dtype=np.float32)) is False
+        assert tc._all_finite(np.array([np.finfo(np.float32).max] * 2, dtype=np.float32)) is True
+        assert tc._all_finite(np.empty((0, 3))) is True
+
+
+class TestExactFallback:
+    """A finite value whose square overflows must pass every guard: a check
+    by the sum of squares alone would refuse it."""
+
+    def test_tensor_accepts_huge_finite_values(self, strict):
+        a = np.ones((1, 2, 3, 3))
+        a[0, 1, 2, 2] = 1e200
+        assert np.array_equal(Tensor(a).data, a)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_wrap_accepts_huge_finite_values(self, strict, rng, layout):
+        a = _layouts(rng)[layout]
+        a[0, 0, 0, 0] = -1e200
+        assert np.array_equal(tc._wrap(a).data, a)

@@ -395,9 +395,27 @@ class TestCheckpointValidation:
         np.save(tmp_path / "x.npy", np.zeros(3))
         (tmp_path / "old").mkdir()
         (tmp_path / "old" / "manifest.json").write_text("{}")
-        for path in (tmp_path / "x.npy", tmp_path / "old"):
+        with zipfile.ZipFile(tmp_path / "notes.docx", "w") as archive:
+            archive.writestr("word/document.xml", "<w:document/>")
+        model = tiny_setup()[0]
+        before = {k: v.copy() for k, v in {**model.net.params(), **model.net.state()}.items()}
+        for path in (tmp_path / "x.npy", tmp_path / "old", tmp_path / "notes.docx"):
             with pytest.raises(ValueError, match="holds no checkpoint"):
-                load_params(tiny_setup()[0], path)
+                load_params(model, path)
+        for k, v in {**model.net.params(), **model.net.state()}.items():
+            assert np.array_equal(v, before[k]), k
+
+    def test_load_accepts_huge_finite_values(self, tmp_path):
+        """1e200 squared overflows; the finiteness check must still pass it."""
+        model, entries = self._saved(tmp_path)
+        entries["fc.bias"][0] = 1e200
+        entries["layer2.0.bn3.running_mean"][-1] = -1e200
+        _rewrite(tmp_path / "ckpt", entries)
+        with np.errstate(all="raise"):
+            load_params(model, tmp_path / "ckpt")
+        assert np.array_equal(model.net.params()["fc.bias"], entries["fc.bias"])
+        assert np.array_equal(model.net.state()["layer2.0.bn3.running_mean"],
+                              entries["layer2.0.bn3.running_mean"])
 
     @pytest.mark.parametrize("name", ["fc.bias", "layer2.0.bn3.running_mean"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
