@@ -14,7 +14,8 @@ import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .models import LayerRow, Model
+from .models import Model
+from .ops import LayerRow
 
 __all__ = [
     "CONVENTION",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ops
 from .defaults import GRADCHECK_EPSILON as EPSILON, GRADCHECK_TOLERANCE as TOLERANCE
-from .models import BatchNorm, BlockSpec, Conv, GlobalAvgPool, Layer, Linear, MaxPool, Psa, build_block
+from .models import BlockSpec, GlobalAvgPool, MaxPool, Psa, build_block
 from .psa import PsaConfig
 from .tensor import Tensor
 
@@ -53,7 +53,7 @@ class _Suite:
         err = ops.max_relative_error(analytic, numeric)
         self.results.append(CheckResult(name, err))
 
-    def check(self, name: str, apply, x: Tensor, layer: Layer | None = None, keys=()) -> None:
+    def check(self, name: str, apply, x: Tensor, layer: ops.Layer | None = None, keys=()) -> None:
         """Check the gradient of apply (Tensor -> (y, vjp)) at x with respect
         to x, then to each of layer's parameters named in keys."""
         y, vjp = apply(x)
@@ -84,7 +84,7 @@ def _rand_tensor(rng, shape, low=-1.0, high=1.0) -> Tensor:
     return Tensor(rng.uniform(low, high, size=shape))
 
 
-def _train(layer: Layer):
+def _train(layer: ops.Layer):
     """The layer's apply in training mode, as a Tensor -> (y, vjp) map."""
     return lambda t: layer.apply(t, True)
 
@@ -93,15 +93,15 @@ def _check_ops(s: _Suite) -> None:
     rng = s.rng
 
     # grouped conv, stride 1: input, weight and bias gradients
-    conv = Conv(4, 6, 3, padding=1, groups=2, bias=True, rng=rng)
+    conv = ops.Conv2dParams.init(4, 6, 3, padding=1, groups=2, bias=True, seed=rng)
     s.check("conv2d.g2", _train(conv), _rand_tensor(rng, (2, 4, 5, 5)), conv, ("weight", "bias"))
 
     # strided conv with larger kernel and more groups
-    conv = Conv(8, 8, 5, stride=2, padding=2, groups=4, rng=rng)
+    conv = ops.Conv2dParams.init(8, 8, 5, stride=2, padding=2, groups=4, seed=rng)
     s.check("conv2d.s2", _train(conv), _rand_tensor(rng, (2, 8, 7, 7)), conv, ("weight",))
 
     # linear on (N, C, 1, 1)
-    fc = Linear(6, 4, bias=True, rng=rng)
+    fc = ops.LinearParams.init(6, 4, seed=rng)
     s.check("linear", _train(fc), _rand_tensor(rng, (3, 6, 1, 1)), fc, ("weight",))
 
     # activations; relu inputs kept away from the kink at 0
@@ -110,12 +110,12 @@ def _check_ops(s: _Suite) -> None:
     s.check("sigmoid", ops.sigmoid, _rand_tensor(rng, (2, 3, 4, 4), -3, 3))
 
     # batch norm, both modes
-    bn = BatchNorm(3)
+    bn = ops.BatchNormParams.init(3)
     bn.set_param("gamma", rng.uniform(0.5, 1.5, 3))
     bn.set_param("beta", rng.uniform(-0.5, 0.5, 3))
     xb = _rand_tensor(rng, (2, 3, 4, 4))
     s.check("batch_norm.train", _train(bn), xb, bn, ("gamma",))
-    bn = BatchNorm(3)
+    bn = ops.BatchNormParams.init(3)
     bn.state()["running_mean"][:] = rng.uniform(-0.5, 0.5, 3)
     bn.state()["running_var"][:] = rng.uniform(0.5, 2.0, 3)
     s.check("batch_norm.eval", lambda t: bn.apply(t, False), xb)
@@ -139,7 +139,7 @@ def _check_ops(s: _Suite) -> None:
     s._record("softmax_over_scales.input", analytic, fd)
 
     # narrowing strided conv: the weight-first strategy at stride 2, both passes
-    conv = Conv(8, 2, 5, stride=2, padding=2, groups=2, rng=rng)
+    conv = ops.Conv2dParams.init(8, 2, 5, stride=2, padding=2, groups=2, seed=rng)
     s.check("conv2d.narrow.s2", _train(conv), _rand_tensor(rng, (2, 8, 7, 7)), conv, ("weight",))
 
 

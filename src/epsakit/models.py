@@ -1,37 +1,13 @@
 """Bottleneck blocks and declarative builders for the ResNet / SENet / EPSANet family.
 
-Networks are trees of `Layer` objects. Every layer implements
-
-    apply(x, training) -> (y, vjp)   vjp(dy) -> (dx, {param_name: grad})
-
-x and y are Tensors; dy, dx and the gradients are plain ndarrays. When
-`training` is false, a composite returns vjp=None and keeps no closure, so
-an eval forward frees each activation once the next layer has read it (a
-leaf still returns its op's backward, which the chain drops). The chain
-checks each child's dx for NaN/Inf once. Those checks, like the ones on
-forward values and on parameters in `set_param`, go through
-`tensor._all_finite`, one BLAS dot per array. A NonFiniteError from either
-pass gets `layer`, the dotted name of the layer that failed, prefixed at
-each level it passes up, and `phase`, "forward" or "backward".
-
-Every layer also says what it is made of in one of two ways. A composite
-(`Bottleneck`, `Network`) lists its named `children()` in the order its
-forward runs them, and runs them with the one chain runner `_chain`. A
-leaf lists its parameter `slots()`: name -> (owner, attribute) of the
-array it reads (batch norm also lists its running statistics in
-`state_slots()`). Everything else derives from those lists, in `Layer`:
-
-    params()       {dotted name: array}, in forward order
-    set_param()    replace one parameter with a finite value of its shape
-    state()        batch-norm running statistics (not trained)
-    decay_names()  the parameters L2 decay applies to: every `*.weight`;
-                   biases and batch-norm gamma/beta do not decay
-    complexity()   (out_shape, [LayerRow]), the shape threaded through the
-                   children; leaves add their own rows
-
-Parameter names are dotted paths, unique within a network. Parameter
-updates rebind arrays (they never mutate tensors in place), so an
-eval-mode forward is safe to run concurrently.
+Networks are trees of `ops.Layer`s whose leaves are the parameter sets and
+the parameter-free ops here. A composite (`Bottleneck`, `Network`) runs its
+children with the one chain runner `_chain`. In eval (`training` false) it
+returns vjp=None and keeps no closure, so each activation is freed once the
+next layer has read it. The chain checks each child's dx for NaN/Inf once.
+A NonFiniteError from either pass gets `layer`, the dotted name of the
+layer that failed, prefixed at each level it passes up, and `phase`,
+"forward" or "backward".
 
 PSA is a drop-in for the bottleneck's 3x3 conv: `Bottleneck` differs
 between ResNet and EPSANet only in the layer it puts at `conv2`. SENet's
@@ -48,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ops
-from .ops import BatchNormParams, Conv2dParams, LinearParams, _rng, conv_output_size
+from .ops import BatchNormParams, Conv2dParams, Layer, LayerRow, LinearParams, _ledger, _rng, conv_output_size
 from .psa import PsaConfig, PsaParams, SeWeightParams, _json, _se_weight_grad, default_groups, psa_with_grad
 from .tensor import NonFiniteError, Tensor, _all_finite, _wrap
 
@@ -73,29 +49,6 @@ __all__ = [
     "config_to_spec",
     "build_from_config",
 ]
-
-
-@dataclass(frozen=True)
-class LayerRow:
-    """One line of the per-layer complexity ledger."""
-
-    name: str
-    params: int
-    flops: int
-    output_shape: tuple[int, int, int, int]
-
-
-def _prefix(rows: list[LayerRow], name: str) -> list[LayerRow]:
-    return [LayerRow(f"{name}.{r.name}" if r.name else name, r.params, r.flops, r.output_shape) for r in rows]
-
-
-def _ledger(layers, shape) -> tuple[tuple, list[LayerRow]]:
-    """Thread a shape through (name, layer) pairs; collect their named rows."""
-    rows = []
-    for name, layer in layers:
-        shape, r = layer.complexity(shape)
-        rows += _prefix(r, name)
-    return shape, rows
 
 
 @contextmanager
@@ -133,111 +86,6 @@ def _chain(layers, x: Tensor, training: bool):
     return x, vjp
 
 
-def _weight_bias(p, prefix: str = "") -> dict:
-    """Slots of a conv or linear parameter set: its weight, and its bias if any."""
-    out = {f"{prefix}weight": (p, "weight")}
-    if p.bias is not None:
-        out[f"{prefix}bias"] = (p, "bias")
-    return out
-
-
-class Layer:
-    """Base of every layer; see the module docstring for the protocol."""
-
-    def children(self) -> list[tuple[str, "Layer"]]:
-        return []
-
-    def slots(self) -> dict[str, tuple[object, str]]:
-        """A leaf's own parameters: name -> (owner, attribute)."""
-        return {}
-
-    def state_slots(self) -> dict[str, tuple[object, str]]:
-        """A leaf's own running state, in the same form."""
-        return {}
-
-    def _walk(self, state: bool = False, prefix: str = ""):
-        """Yield (dotted name, array) for every slot in this subtree."""
-        own = self.state_slots() if state else self.slots()
-        for name, (owner, attr) in own.items():
-            yield prefix + name, getattr(owner, attr)
-        for name, child in self.children():
-            yield from child._walk(state, f"{prefix}{name}.")
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: v.data if isinstance(v, Tensor) else v for name, v in self._walk()}
-
-    def state(self) -> dict[str, np.ndarray]:
-        """Live running statistics; loading a checkpoint writes into them."""
-        return dict(self._walk(state=True))
-
-    def decay_names(self) -> set[str]:
-        return {name for name, _ in self._walk() if name.rsplit(".", 1)[-1] == "weight"}
-
-    def _slot(self, name: str) -> tuple[object, str]:
-        for cname, child in self.children():
-            if name.startswith(cname + "."):
-                return child._slot(name[len(cname) + 1:])
-        return self.slots()[name]
-
-    def set_param(self, name: str, value: np.ndarray) -> None:
-        """Rebind one parameter to a copy of value, which must keep its shape
-        and be finite; a NonFiniteError names the parameter as its `layer`."""
-        owner, attr = self._slot(name)
-        old = getattr(owner, attr)
-        value = np.array(value, dtype=np.float64)
-        if value.shape != old.shape:
-            raise ValueError(f"{name}: shape {value.shape} != {old.shape}")
-        if not _all_finite(value):
-            err = NonFiniteError(f"{name} has NaN or Inf")
-            err.layer = name
-            raise err
-        setattr(owner, attr, _wrap(value) if isinstance(old, Tensor) else value)
-
-    def complexity(self, in_shape) -> tuple[tuple, list[LayerRow]]:
-        return _ledger(self.children(), in_shape)
-
-
-def _conv_row(p: Conv2dParams, in_shape) -> tuple[tuple, LayerRow]:
-    n, _, h, w = in_shape
-    ho = conv_output_size(h, p.kernel, p.stride, p.padding)
-    wo = conv_output_size(w, p.kernel, p.stride, p.padding)
-    out_shape = (n, p.out_channels, ho, wo)
-    macs = n * p.out_channels * ho * wo * (p.in_channels // p.groups) * p.kernel * p.kernel
-    return out_shape, LayerRow("", p.param_count, macs, out_shape)
-
-
-class Conv(Layer):
-    def __init__(self, in_c, out_c, kernel, stride=1, padding=0, groups=1, bias=False, rng=None):
-        self.p = Conv2dParams.init(in_c, out_c, kernel, stride, padding, groups, bias, _rng(rng or 0))
-
-    def slots(self):
-        return _weight_bias(self.p)
-
-    def apply(self, x: Tensor, training: bool):
-        return ops.conv2d(x, self.p)
-
-    def complexity(self, in_shape):
-        out_shape, row = _conv_row(self.p, in_shape)
-        return out_shape, [row]
-
-
-class BatchNorm(Layer):
-    def __init__(self, channels):
-        self.p = BatchNormParams.init(channels)
-
-    def slots(self):
-        return {n: (self.p, n) for n in ("gamma", "beta")}
-
-    def state_slots(self):
-        return {n: (self.p, n) for n in ("running_mean", "running_var")}
-
-    def apply(self, x: Tensor, training: bool):
-        return ops.batch_norm(x, self.p, training)
-
-    def complexity(self, in_shape):
-        return in_shape, [LayerRow("", self.p.param_count, 0, in_shape)]
-
-
 class ReLU(Layer):
     def apply(self, x: Tensor, training: bool):
         return ops.relu(x)
@@ -264,40 +112,16 @@ class GlobalAvgPool(Layer):
         return ops.global_avg_pool(x), lambda dy: (ops._global_avg_pool_vjp(in_shape, dy), {})
 
     def complexity(self, in_shape):
-        n, c, _, _ = in_shape
-        out_shape = (n, c, 1, 1)
+        out_shape = (*in_shape[:2], 1, 1)
         return out_shape, [LayerRow("", 0, 0, out_shape)]
 
 
-class Linear(Layer):
-    """Affine head on a (N, C, 1, 1) tensor; its vjp also takes a (N, out) array."""
-
-    def __init__(self, in_f, out_f, bias=True, rng=None):
-        self.p = LinearParams.init(in_f, out_f, bias, _rng(rng or 0))
-
-    def slots(self):
-        return _weight_bias(self.p)
+class SeScale(SeWeightParams):
+    """Squeeze-excitation recalibration x * se_weight(x): the SE weighter's
+    parameter set run as a scale. SENet builds it with bias-free FCs."""
 
     def apply(self, x: Tensor, training: bool):
-        return ops.linear(x, self.p)
-
-    def complexity(self, in_shape):
-        n = in_shape[0]
-        out_shape = (n, self.p.out_features, 1, 1)
-        return out_shape, [LayerRow("", self.p.param_count, n * self.p.in_features * self.p.out_features, out_shape)]
-
-
-class SeScale(Layer):
-    """Squeeze-excitation recalibration x * se_weight(x), with bias-free FCs."""
-
-    def __init__(self, channels, reduction=16, rng=None):
-        self.se = SeWeightParams.init(channels, reduction, _rng(rng or 0), bias=False)
-
-    def slots(self):
-        return {**_weight_bias(self.se.fc0, "fc0."), **_weight_bias(self.se.fc1, "fc1.")}
-
-    def apply(self, x: Tensor, training: bool):
-        gp = _se_weight_grad(x, self.se)
+        gp = _se_weight_grad(x, self)
         w = gp.output.data
 
         def vjp(dy):
@@ -307,36 +131,25 @@ class SeScale(Layer):
         return _wrap(x.data * w), vjp
 
     def complexity(self, in_shape):
-        n, c = in_shape[:2]
-        macs = n * 2 * c * self.se.fc0.out_features
-        return in_shape, [LayerRow("", self.se.param_count, macs, in_shape)]
+        _, [row] = super().complexity(in_shape)
+        return in_shape, [replace(row, output_shape=in_shape)]
 
 
 class Psa(Layer):
-    """PSA module as a layer; parameter names follow the PsaParams layout."""
+    """PSA module as a layer over its parameter set `p`; `apply` calls
+    `psa_with_grad` through this module, where a profiler can wrap it."""
 
-    def __init__(self, config: PsaConfig, rng=None):
-        self.p = PsaParams.init(config, _rng(rng or 0))
+    def __init__(self, config: PsaConfig, rng=0):
+        self.p = PsaParams.init(config, rng)
 
-    def slots(self):
-        out = {}
-        for i, c in enumerate(self.p.branch_convs):
-            out.update(_weight_bias(c, f"branch{i}."))
-        return {**out, **_weight_bias(self.p.se.fc0, "se.fc0."), **_weight_bias(self.p.se.fc1, "se.fc1.")}
+    def children(self):
+        return self.p.children()
 
     def apply(self, x: Tensor, training: bool):
         return psa_with_grad(x, self.p)
 
     def complexity(self, in_shape):
-        cfg = self.p.config
-        rows = []
-        for i, conv in enumerate(self.p.branch_convs):
-            (n, _, ho, wo), row = _conv_row(conv, in_shape)
-            rows.append(LayerRow(f"branch{i}", row.params, row.flops, row.output_shape))
-        cp = cfg.branch_channels
-        se_macs = n * cfg.scales * 2 * cp * self.p.se.fc0.out_features
-        rows.append(LayerRow("se", self.p.se.param_count, se_macs, (n, cp, 1, 1)))
-        return (n, cfg.channels, ho, wo), rows
+        return self.p.complexity(in_shape)
 
 
 @dataclass(frozen=True)
@@ -391,29 +204,28 @@ class Bottleneck(Layer):
 
     def __init__(self, spec: BlockSpec, in_channels: int, stride: int, rng):
         mid, out = spec.mid_channels, spec.out_channels
-        self.spec = spec
-        self.conv1 = Conv(in_channels, mid, 1, rng=rng)
+        self.conv1 = Conv2dParams.init(in_channels, mid, 1, seed=rng)
         if spec.kind == "epsa":
             cfg = spec.psa
             if cfg.channels != mid:
                 raise ValueError(f"psa channels {cfg.channels} != mid {mid}")
             self.conv2 = Psa(replace(cfg, stride=stride), rng)
         else:
-            self.conv2 = Conv(mid, mid, 3, stride=stride, padding=1, rng=rng)
-        self.conv3 = Conv(mid, out, 1, rng=rng)
+            self.conv2 = Conv2dParams.init(mid, mid, 3, stride, 1, seed=rng)
+        self.conv3 = Conv2dParams.init(mid, out, 1, seed=rng)
         self.relu = ReLU()
         self.body = [
-            ("conv1", self.conv1), ("bn1", BatchNorm(mid)), ("relu", self.relu),
-            ("conv2", self.conv2), ("bn2", BatchNorm(mid)), ("relu", self.relu),
-            ("conv3", self.conv3), ("bn3", BatchNorm(out)),
+            ("conv1", self.conv1), ("bn1", BatchNormParams.init(mid)), ("relu", self.relu),
+            ("conv2", self.conv2), ("bn2", BatchNormParams.init(mid)), ("relu", self.relu),
+            ("conv3", self.conv3), ("bn3", BatchNormParams.init(out)),
         ]
         if spec.kind == "se":
-            self.body.append(("se", SeScale(out, spec.se_reduction, rng)))
+            self.body.append(("se", SeScale.init(out, spec.se_reduction, rng, bias=False)))
         self.shortcut = []
         if stride != 1 or in_channels != out:
             self.shortcut = [
-                ("downsample.conv", Conv(in_channels, out, 1, stride=stride, rng=rng)),
-                ("downsample.bn", BatchNorm(out)),
+                ("downsample.conv", Conv2dParams.init(in_channels, out, 1, stride, seed=rng)),
+                ("downsample.bn", BatchNormParams.init(out)),
             ]
 
     def children(self):
@@ -448,8 +260,8 @@ class Network(Layer):
         rng = _rng(seed)
         self.spec = spec
         self.layers = [
-            ("stem.conv", Conv(3, spec.stem_channels, 7, stride=2, padding=3, rng=rng)),
-            ("stem.bn", BatchNorm(spec.stem_channels)),
+            ("stem.conv", Conv2dParams.init(3, spec.stem_channels, 7, 2, 3, seed=rng)),
+            ("stem.bn", BatchNormParams.init(spec.stem_channels)),
             ("relu", ReLU()),
             ("maxpool", MaxPool(3, 2, 1)),
         ]
@@ -459,7 +271,7 @@ class Network(Layer):
                 stride = 2 if i > 1 and b == 0 else 1
                 self.layers.append((f"layer{i}.{b}", Bottleneck(st.block, in_c, stride, rng)))
                 in_c = st.block.out_channels
-        self.layers += [("gap", GlobalAvgPool()), ("fc", Linear(in_c, spec.num_classes, bias=True, rng=rng))]
+        self.layers += [("gap", GlobalAvgPool()), ("fc", LinearParams.init(in_c, spec.num_classes, seed=rng))]
 
     def children(self):
         return self.layers
@@ -699,7 +511,7 @@ def describe(model: Model, input_size: int = 224) -> ModelDescription:
     spec, layers = model.spec, dict(model.net.layers)
     _, ledger = model.net.complexity((1, 3, input_size, input_size))
     sizes = {r.name: r.output_shape[2] for r in ledger}
-    stem, pool = layers["stem.conv"].p, layers["maxpool"]
+    stem, pool = layers["stem.conv"], layers["maxpool"]
     rows = [
         {"stage": "stem", "operator": f"{stem.kernel}x{stem.kernel}, {stem.out_channels}, stride {stem.stride}",
          "output_size": sizes["stem.conv"]},

@@ -5,6 +5,10 @@ closure mapping an upstream gradient to (input gradient, parameter
 gradients). Backwards are hand-derived and validated against the central
 finite-difference oracle that also lives here.
 
+A parameter set is its leaf layer: `Conv2dParams`, `LinearParams` and
+`BatchNormParams` implement `Layer`, the one layer protocol, and `apply`
+runs their op. The composites in `psa` and `models` are trees of them.
+
 Forward values are `Tensor`s: read-only, and checked finite as each op
 wraps its output, so NaN or Inf raises `NonFiniteError` where it first
 appears. That check, like every other finiteness guard in the package,
@@ -50,14 +54,16 @@ strategy as its groups run one by one, and the two agree bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor, _wrap
+from .tensor import NonFiniteError, Tensor, _all_finite, _wrap
 
 __all__ = [
+    "Layer",
+    "LayerRow",
     "Conv2dParams",
     "LinearParams",
     "BatchNormParams",
@@ -92,9 +98,118 @@ def fanin_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator)
     return rng.uniform(-bound, bound, size=shape)
 
 
-@dataclass
-class Conv2dParams:
-    """Grouped 2-D convolution parameters.
+@dataclass(frozen=True)
+class LayerRow:
+    """One line of the per-layer complexity ledger."""
+
+    name: str
+    params: int
+    flops: int
+    output_shape: tuple[int, int, int, int]
+
+
+def _ledger(layers, shape) -> tuple[tuple, list[LayerRow]]:
+    """Thread a shape through (name, layer) pairs; collect their rows under dotted names."""
+    rows = []
+    for name, layer in layers:
+        shape, r = layer.complexity(shape)
+        rows += [replace(row, name=f"{name}.{row.name}" if row.name else name) for row in r]
+    return shape, rows
+
+
+def _weight_bias(p) -> tuple[str, ...]:
+    """Slots of a conv or linear parameter set: its weight, and its bias if any."""
+    return ("weight",) if p.bias is None else ("weight", "bias")
+
+
+class Layer:
+    """Base of every layer. Every layer implements
+
+        apply(x, training) -> (y, vjp)   vjp(dy) -> (dx, {param_name: grad})
+
+    x and y are Tensors; dy, dx and the gradients are plain ndarrays. A
+    composite lists its named `children()`, in the order its forward runs
+    them. A leaf lists its parameter `slots()`, the names of the array
+    attributes it reads (batch norm also lists its running statistics in
+    `state_slots()`). Everything else derives from those lists:
+
+        params()       {dotted name: array}, in forward order
+        param_count    the total size of those arrays
+        set_param()    replace one parameter with a finite value of its shape
+        state()        batch-norm running statistics (not trained)
+        decay_names()  the parameters L2 decay applies to: every `*.weight`;
+                       biases and batch-norm gamma/beta do not decay
+        complexity()   (out_shape, [LayerRow]), the shape threaded through the
+                       children; leaves add their own rows
+
+    Parameter names are dotted paths, unique within a network. Parameter
+    updates rebind arrays (they never mutate tensors in place), so an
+    eval-mode forward is safe to run concurrently. A layer is a tree node,
+    not a value: layers compare by identity.
+    """
+
+    def children(self) -> list[tuple[str, "Layer"]]:
+        return []
+
+    def slots(self) -> tuple[str, ...]:
+        """A leaf's own parameters, by attribute name."""
+        return ()
+
+    def state_slots(self) -> tuple[str, ...]:
+        """A leaf's own running state, in the same form."""
+        return ()
+
+    def _walk(self, state: bool = False, prefix: str = ""):
+        """Yield (dotted name, array) for every slot in this subtree."""
+        for attr in self.state_slots() if state else self.slots():
+            yield prefix + attr, getattr(self, attr)
+        for name, child in self.children():
+            yield from child._walk(state, f"{prefix}{name}.")
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {name: v.data if isinstance(v, Tensor) else v for name, v in self._walk()}
+
+    @property
+    def param_count(self) -> int:
+        return sum(v.size for _, v in self._walk())
+
+    def state(self) -> dict[str, np.ndarray]:
+        """Live running statistics; loading a checkpoint writes into them."""
+        return dict(self._walk(state=True))
+
+    def decay_names(self) -> set[str]:
+        return {name for name, _ in self._walk() if name.rsplit(".", 1)[-1] == "weight"}
+
+    def _slot(self, name: str) -> tuple["Layer", str]:
+        """The leaf that owns parameter name, and the attribute it sits in."""
+        for cname, child in self.children():
+            if name.startswith(cname + "."):
+                return child._slot(name[len(cname) + 1:])
+        if name not in self.slots():
+            raise KeyError(name)
+        return self, name
+
+    def set_param(self, name: str, value: np.ndarray) -> None:
+        """Rebind one parameter to a copy of value, which must keep its shape
+        and be finite; a NonFiniteError names the parameter as its `layer`."""
+        owner, attr = self._slot(name)
+        old = getattr(owner, attr)
+        value = np.array(value, dtype=np.float64)
+        if value.shape != old.shape:
+            raise ValueError(f"{name}: shape {value.shape} != {old.shape}")
+        if not _all_finite(value):
+            err = NonFiniteError(f"{name} has NaN or Inf")
+            err.layer = name
+            raise err
+        setattr(owner, attr, _wrap(value) if isinstance(old, Tensor) else value)
+
+    def complexity(self, in_shape) -> tuple[tuple, list[LayerRow]]:
+        return _ledger(self.children(), in_shape)
+
+
+@dataclass(eq=False)
+class Conv2dParams(Layer):
+    """Grouped 2-D convolution, a leaf layer.
 
     weight is (out_channels, in_channels // groups, k, k); output group g
     reads only input group g.
@@ -145,17 +260,25 @@ class Conv2dParams:
         b = np.zeros(out_channels) if bias else None
         return cls(in_channels, out_channels, kernel, stride, padding, groups, _wrap(w), b)
 
-    @property
-    def param_count(self) -> int:
-        n = self.weight.size
-        if self.bias is not None:
-            n += self.bias.size
-        return n
+    def slots(self):
+        return _weight_bias(self)
+
+    def apply(self, x: Tensor, training: bool) -> GradPair:
+        return conv2d(x, self)
+
+    def complexity(self, in_shape):
+        n, _, h, w = in_shape
+        ho = conv_output_size(h, self.kernel, self.stride, self.padding)
+        wo = conv_output_size(w, self.kernel, self.stride, self.padding)
+        out_shape = (n, self.out_channels, ho, wo)
+        # each weight takes one MAC at every output position of its channel
+        return out_shape, [LayerRow("", self.param_count, n * ho * wo * self.weight.size, out_shape)]
 
 
-@dataclass
-class LinearParams:
-    """Affine map: weight (out_features, in_features), optional bias."""
+@dataclass(eq=False)
+class LinearParams(Layer):
+    """Affine map, a leaf layer: weight (out_features, in_features), optional
+    bias. It maps a (N, C, 1, 1) tensor; its vjp also takes a (N, out) array."""
 
     weight: np.ndarray
     bias: np.ndarray | None = None
@@ -187,9 +310,15 @@ class LinearParams:
     def out_features(self) -> int:
         return self.weight.shape[0]
 
-    @property
-    def param_count(self) -> int:
-        return self.weight.size + (0 if self.bias is None else self.bias.size)
+    def slots(self):
+        return _weight_bias(self)
+
+    def apply(self, x: Tensor, training: bool) -> GradPair:
+        return linear(x, self)
+
+    def complexity(self, in_shape):
+        out_shape = (in_shape[0], self.out_features, 1, 1)
+        return out_shape, [LayerRow("", self.param_count, in_shape[0] * self.weight.size, out_shape)]
 
 
 # Batch norm's variance offset and running-statistics momentum (torch defaults).
@@ -197,9 +326,10 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-@dataclass
-class BatchNormParams:
-    """Per-channel affine normalization state.
+@dataclass(eq=False)
+class BatchNormParams(Layer):
+    """Per-channel affine normalization, a leaf layer: gamma and beta are its
+    parameters, running_mean and running_var its state.
 
     Training mode mutates running_mean/running_var in place, so a parameter
     set being trained must not be shared across concurrent callers.
@@ -227,10 +357,17 @@ class BatchNormParams:
             running_var=np.ones(channels),
         )
 
-    @property
-    def param_count(self) -> int:
-        # gamma + beta; running statistics are state, not parameters
-        return self.gamma.size + self.beta.size
+    def slots(self):
+        return ("gamma", "beta")
+
+    def state_slots(self):
+        return ("running_mean", "running_var")
+
+    def apply(self, x: Tensor, training: bool) -> GradPair:
+        return batch_norm(x, self, training)
+
+    def complexity(self, in_shape):
+        return in_shape, [LayerRow("", self.param_count, 0, in_shape)]
 
 
 @dataclass

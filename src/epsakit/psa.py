@@ -12,7 +12,7 @@ which read as (N, S*C', H, W) is the concatenation back to C channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,8 +20,11 @@ import numpy as np
 from .ops import (
     Conv2dParams,
     GradPair,
+    Layer,
+    LayerRow,
     LinearParams,
     _global_avg_pool_vjp,
+    _ledger,
     _rng,
     _softmax_over_scales_vjp,
     conv2d,
@@ -139,11 +142,12 @@ class PsaConfig:
         )
 
 
-@dataclass
-class SeWeightParams:
+@dataclass(eq=False)
+class SeWeightParams(Layer):
     """Squeeze-excitation weighter: GAP -> fc0 -> ReLU -> fc1 -> sigmoid.
 
-    PSA's FCs have biases; SENet's SE layer uses the same weighter without.
+    A composite of its two FCs. PSA's FCs have biases; SENet's SE layer uses
+    the same weighter without.
     """
 
     fc0: LinearParams
@@ -161,14 +165,19 @@ class SeWeightParams:
             fc1=LinearParams.init(hidden, channels, bias=bias, seed=rng),
         )
 
-    @property
-    def param_count(self) -> int:
-        return self.fc0.param_count + self.fc1.param_count
+    def children(self):
+        return [("fc0", self.fc0), ("fc1", self.fc1)]
+
+    def complexity(self, in_shape):
+        """(N, C, H, W) to its weights (N, C, 1, 1); one row for both FCs."""
+        shape, rows = _ledger(self.children(), (*in_shape[:2], 1, 1))
+        return shape, [LayerRow("", self.param_count, sum(r.flops for r in rows), shape)]
 
 
-@dataclass
-class PsaParams:
-    """Parameters of one PSA module.
+@dataclass(eq=False)
+class PsaParams(Layer):
+    """Parameters of one PSA module, a composite of its branch convs and SE
+    weighter.
 
     branch_convs[i] maps the full C-channel input to C' = C/S channels with
     kernel kernels[i] and groups[i]; the single SE weighter is shared by
@@ -189,9 +198,17 @@ class PsaParams:
         ]
         return cls(config, convs, SeWeightParams.init(cp, config.se_reduction, rng))
 
-    @property
-    def param_count(self) -> int:
-        return sum(c.param_count for c in self.branch_convs) + self.se.param_count
+    def children(self):
+        return [(f"branch{i}", c) for i, c in enumerate(self.branch_convs)] + [("se", self.se)]
+
+    def complexity(self, in_shape):
+        """Every branch reads the input; the SE weighter runs once per scale."""
+        cfg, rows = self.config, []
+        for branch in self.children()[:-1]:
+            (n, _, h, w), r = _ledger([branch], in_shape)
+            rows += r
+        _, [se] = self.se.complexity((n, cfg.branch_channels, h, w))
+        return (n, cfg.channels, h, w), rows + [replace(se, name="se", flops=cfg.scales * se.flops)]
 
 
 def _se_weight_grad(x: Tensor, p: SeWeightParams) -> GradPair:

@@ -295,10 +295,11 @@ def train(model: Model, dataset: ToyDataset, cfg: TrainConfig) -> TrainingHistor
 
 
 def _holds_checkpoint(path: str | Path) -> bool:
-    """Whether path is a zip archive of .npy entries only, as np.savez writes."""
+    """Whether path is a zip archive of .npy entries only, and at least one."""
     try:
         with zipfile.ZipFile(path) as archive:
-            return all(name.endswith(".npy") for name in archive.namelist())
+            names = archive.namelist()
+        return bool(names) and all(name.endswith(".npy") for name in names)
     except (zipfile.BadZipFile, OSError):
         return False
 
@@ -311,10 +312,10 @@ def save_params(model: Model, path: str | Path) -> None:
     and then renamed onto `path` by one `os.replace`: at every instant `path`
     holds the previous checkpoint (if any) or the new one, whole, and a save
     that fails leaves no temporary file behind. A target that exists and is
-    not a zip archive of .npy entries only is refused. Temporary files left
-    by killed saves to `path` are removed first, so concurrent saves to one
-    path are unsupported: the one whose file was removed fails loudly at its
-    `os.replace`, leaving `path` intact.
+    not a zip archive of .npy entries only, and at least one, is refused.
+    Temporary files left by killed saves to `path` are removed first, so
+    concurrent saves to one path are unsupported: the one whose file was
+    removed fails loudly at its `os.replace`, leaving `path` intact.
     """
     path = Path(os.path.abspath(path))  # "." has no name to put a sibling by
     if path.exists() and not (path.is_file() and _holds_checkpoint(path)):
@@ -339,9 +340,10 @@ def load_params(model: Model, path: str | Path) -> None:
     """Load a checkpoint written by save_params.
 
     Raises KeyError when its entries differ from the model's parameters and
-    state, and ValueError on a wrong shape, a NaN or Inf, or a negative
-    running_var, or when path is not a zip archive of .npy entries only (the
-    rule `save_params` refuses a target by); each before any write.
+    state, and ValueError on a dtype that is not real floating or integer,
+    a wrong shape, a NaN or Inf, or a negative running_var, or when path is
+    not a checkpoint by the rule `save_params` refuses a target by; each
+    before any write.
     """
     if not _holds_checkpoint(path):
         raise ValueError(f"{path} holds no checkpoint")
@@ -353,6 +355,8 @@ def load_params(model: Model, path: str | Path) -> None:
     if missing or extra:
         raise KeyError(f"checkpoint does not match the model: missing {missing}, extra {extra}")
     for name, value in values.items():
+        if value.dtype.kind not in "fiu":
+            raise ValueError(f"checkpoint entry {name!r}: dtype {value.dtype} is not real floating or integer")
         if value.shape != current[name].shape:
             raise ValueError(f"checkpoint entry {name!r}: shape {value.shape} != {current[name].shape}")
         if not _all_finite(value):

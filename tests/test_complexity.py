@@ -107,9 +107,9 @@ class TestScalingLaws:
             "stages": [{"repeats": 1, "mid_channels": 16, "kind": "resnet"}],
         }
         # direct closed-form: 1x1 conv 64 -> 256 at 56x56 is 56*56*256*64 MACs
-        from epsakit.models import Conv
+        from epsakit.ops import Conv2dParams
 
-        conv = Conv(64, 256, 1, rng=np.random.default_rng(0))
+        conv = Conv2dParams.init(64, 256, 1, seed=np.random.default_rng(0))
         _, rows = conv.complexity((1, 64, 56, 56))
         assert rows[0].flops == 56 * 56 * 256 * 64
 

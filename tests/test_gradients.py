@@ -5,7 +5,7 @@ import pytest
 
 from epsakit import ops
 from epsakit.gradcheck import SCOPES, _Suite, run_suite, report_text
-from epsakit.models import Conv
+from epsakit.ops import Conv2dParams
 from epsakit.tensor import Tensor
 
 
@@ -50,7 +50,7 @@ def test_check_names_pinned(scope, gradcheck_run):
 
 
 def test_check_restores_parameters_bitwise():
-    conv = Conv(4, 6, 3, padding=1, groups=2, bias=True, rng=3)
+    conv = Conv2dParams.init(4, 6, 3, padding=1, groups=2, bias=True, seed=3)
     conv.set_param("bias", np.random.default_rng(4).uniform(-1, 1, 6))
     before = {k: v.copy() for k, v in conv.params().items()}
     x = Tensor(np.random.default_rng(5).uniform(-1, 1, (1, 4, 5, 5)))

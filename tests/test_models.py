@@ -44,7 +44,7 @@ class TestBottleneck:
         """With the expand conv zeroed and its BN neutral, the residual path
         dominates: output == relu(shortcut(x))."""
         block = build_block(small_epsa_block_spec(), in_channels=32, stride=1, seed=4)
-        block.conv3.set_param("weight", np.zeros_like(block.conv3.p.weight.data))
+        block.conv3.set_param("weight", np.zeros_like(block.conv3.weight.data))
         x = random_uniform((1, 32, 6, 6), seed=5, low=-1, high=1)
         y, _ = block.apply(x, training=False)
         np.testing.assert_allclose(y.data, np.maximum(x.data, 0.0), atol=1e-12)
@@ -336,6 +336,26 @@ class TestLayerProtocol:
             assert (name in decay) == name.endswith(".weight"), name
 
 
+    def test_block_param_and_state_names_pinned(self):
+        """Checkpoints key on these names, in this order."""
+        epsa = build_block(small_epsa_block_spec(), in_channels=16, stride=2, seed=0)
+        se = build_block(BlockSpec(kind="se", mid_channels=8, out_channels=32), in_channels=16, stride=2, seed=0)
+        assert list(epsa.params()) == [
+            "conv1.weight", "bn1.gamma", "bn1.beta",
+            "conv2.branch0.weight", "conv2.branch1.weight", "conv2.branch2.weight", "conv2.branch3.weight",
+            "conv2.se.fc0.weight", "conv2.se.fc0.bias", "conv2.se.fc1.weight", "conv2.se.fc1.bias",
+            "bn2.gamma", "bn2.beta", "conv3.weight", "bn3.gamma", "bn3.beta",
+            "downsample.conv.weight", "downsample.bn.gamma", "downsample.bn.beta",
+        ]
+        assert list(se.params()) == [
+            "conv1.weight", "bn1.gamma", "bn1.beta", "conv2.weight", "bn2.gamma", "bn2.beta",
+            "conv3.weight", "bn3.gamma", "bn3.beta", "se.fc0.weight", "se.fc1.weight",
+            "downsample.conv.weight", "downsample.bn.gamma", "downsample.bn.beta",
+        ]
+        state = [f"{bn}.{s}" for bn in ("bn1", "bn2", "bn3", "downsample.bn") for s in ("running_mean", "running_var")]
+        assert list(epsa.state()) == list(se.state()) == state
+
+
 class TestEvalKeepsNothing:
     """An eval forward builds no backward: nothing holds every activation
     until the logits return."""
@@ -371,3 +391,17 @@ class TestNonFiniteNaming:
         with pytest.raises(NonFiniteError) as info:
             net.forward(random_uniform((2, 3, 32, 32), seed=0))
         assert (info.value.layer, info.value.phase) == ("layer2.0.downsample.bn", "forward")
+
+    def test_per_op_check_catches_an_overflow_a_later_op_squashes(self):
+        """The SE weighter's fc1 overflows to +inf and its sigmoid maps that
+        to 1, so the block's output is finite: only the check on each op's
+        output sees the overflow."""
+        net = build_toy_epsanet(num_classes=4, **defaults.TOY_MODEL).net
+        se, params = "layer1.0.conv2.se.", net.params()
+        net.set_param(se + "fc0.weight", np.zeros_like(params[se + "fc0.weight"]))
+        net.set_param(se + "fc0.bias", np.ones_like(params[se + "fc0.bias"]))
+        for name in ("fc1.weight", "fc1.bias"):
+            net.set_param(se + name, np.full_like(params[se + name], 1e308))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
+            net.forward(random_uniform((2, 3, 32, 32), seed=0))
+        assert (info.value.layer, info.value.phase) == ("layer1.0.conv2", "forward")

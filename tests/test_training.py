@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsakit import defaults, models, training
-from epsakit.ops import finite_difference_array
+from epsakit.ops import BatchNormParams, finite_difference_array
 from epsakit.tensor import NonFiniteError
 from epsakit.training import (
     ToyDataset,
@@ -331,6 +331,15 @@ class TestCheckpoint:
         assert [p.name for p in tmp_path.iterdir()] == ["notes.docx"]
         assert doc.read_bytes() == before
 
+    def test_save_refuses_an_empty_zip_archive(self, tmp_path):
+        empty = tmp_path / "ckpt"
+        zipfile.ZipFile(empty, "w").close()
+        before = empty.read_bytes()
+        with pytest.raises(ValueError, match="holds no checkpoint"):
+            save_params(tiny_setup()[0], empty)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        assert empty.read_bytes() == before
+
     def test_save_removes_only_its_own_stale_temporary_files(self, tmp_path):
         # Left by a save to ckpt killed before its rename.
         (tmp_path / ".ckpt.27fc0d40734ee638.tmp").write_bytes(b"partial archive")
@@ -405,6 +414,38 @@ class TestCheckpointValidation:
         for k, v in {**model.net.params(), **model.net.state()}.items():
             assert np.array_equal(v, before[k]), k
 
+    def test_load_refuses_an_empty_zip_archive(self, tmp_path):
+        zipfile.ZipFile(tmp_path / "ckpt", "w").close()
+        model = tiny_setup()[0]
+        before = {k: v.copy() for k, v in {**model.net.params(), **model.net.state()}.items()}
+        with pytest.raises(ValueError, match="holds no checkpoint"):
+            load_params(model, tmp_path / "ckpt")
+        for k, v in {**model.net.params(), **model.net.state()}.items():
+            assert np.array_equal(v, before[k]), k
+
+    @pytest.mark.parametrize("name, dtype", [
+        ("fc.bias", np.complex128),
+        ("stem.bn.running_mean", np.complex128),
+        ("fc.bias", np.bool_),
+    ])
+    def test_entry_of_no_real_number_dtype_rejected_before_any_write(self, tmp_path, name, dtype):
+        _, entries = self._saved(tmp_path)
+        entries[name] = entries[name].astype(dtype)
+        _rewrite(tmp_path / "ckpt", entries)
+        fresh, _, _ = tiny_setup(model_seed=5)
+        before = {k: v.copy() for k, v in {**fresh.net.params(), **fresh.net.state()}.items()}
+        with pytest.raises(ValueError, match=name):
+            load_params(fresh, tmp_path / "ckpt")
+        for k, v in {**fresh.net.params(), **fresh.net.state()}.items():
+            assert np.array_equal(v, before[k]), k
+
+    def test_load_accepts_integer_entries(self, tmp_path):
+        model, entries = self._saved(tmp_path)
+        entries["fc.bias"] = np.arange(entries["fc.bias"].size, dtype=np.int64)
+        _rewrite(tmp_path / "ckpt", entries)
+        load_params(model, tmp_path / "ckpt")
+        assert np.array_equal(model.net.params()["fc.bias"], entries["fc.bias"])
+
     def test_load_accepts_huge_finite_values(self, tmp_path):
         """1e200 squared overflows; the finiteness check must still pass it."""
         model, entries = self._saved(tmp_path)
@@ -457,7 +498,7 @@ class TestDivergenceReport:
         bn = dict(dict(model.net.children())["layer1.0"].children())["bn1"]
 
         def apply(x, training):
-            y, vjp = models.BatchNorm.apply(bn, x, training)
+            y, vjp = BatchNormParams.apply(bn, x, training)
             return y, lambda dy: (np.full(x.shape, np.nan), vjp(dy)[1])
 
         bn.apply = apply
