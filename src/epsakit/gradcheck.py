@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ops
 from .defaults import GRADCHECK_EPSILON as EPSILON, GRADCHECK_TOLERANCE as TOLERANCE
-from .models import BlockSpec, GlobalAvgPool, MaxPool, Psa, build_block
+from .models import BlockSpec, MaxPool, Psa, build_block
 from .psa import PsaConfig
 from .tensor import Tensor
 
@@ -124,7 +124,7 @@ def _check_ops(s: _Suite) -> None:
     vals = rng.permutation(np.arange(2 * 3 * 8 * 8, dtype=np.float64)) * 0.01
     s.check("max_pool", _train(MaxPool(3, 2, 1)), Tensor(vals.reshape(2, 3, 8, 8)))
 
-    s.check("global_avg_pool", _train(GlobalAvgPool()), _rand_tensor(rng, (2, 4, 5, 5)))
+    s.check("global_avg_pool", ops.global_avg_pool, _rand_tensor(rng, (2, 4, 5, 5)))
 
     # softmax across scales, checked on the raw 5-D array
     z = rng.uniform(-2, 2, size=(2, 4, 3, 1, 1))
@@ -151,7 +151,7 @@ def _check_psa(s: _Suite) -> None:
         ("c16", PsaConfig(16, 4, (3, 5, 7, 9), (1, 2, 4, 4)), (2, 16, 6, 6), ()),
         ("c8s2", PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2), stride=2), (1, 8, 5, 5), keys),
     ]:
-        layer = Psa(cfg, rng)
+        layer = Psa.init(cfg, rng)
         s.check(f"psa.{tag}", _train(layer), _rand_tensor(rng, shape), layer, tag_keys)
 
 

@@ -1,13 +1,17 @@
 """Bottleneck blocks and declarative builders for the ResNet / SENet / EPSANet family.
 
 Networks are trees of `ops.Layer`s whose leaves are the parameter sets and
-the parameter-free ops here. A composite (`Bottleneck`, `Network`) runs its
-children with the one chain runner `_chain`. In eval (`training` false) it
-returns vjp=None and keeps no closure, so each activation is freed once the
-next layer has read it. The chain checks each child's dx for NaN/Inf once.
-A NonFiniteError from either pass gets `layer`, the dotted name of the
-layer that failed, prefixed at each level it passes up, and `phase`,
-"forward" or "backward".
+the parameter-free ops here; `Psa` and `SeScale` are the `psa` parameter
+composites with an `apply` added. A composite (`Bottleneck`, `Network`)
+runs its children with the one chain runner `_chain`. In eval (`training`
+false) it returns vjp=None and keeps no closure, so each activation is
+freed once the next layer has read it. The chain checks each child's dx
+for NaN/Inf once. A NonFiniteError from either pass gets `layer`, the
+dotted name of the layer that failed, prefixed at each level it passes
+up, and `phase`, "forward" or "backward".
+
+`Network.apply(x, training)` returns (logits, vjp), the training entry;
+`forward(model, x)` is the eval entry, returning the logits alone.
 
 PSA is a drop-in for the bottleneck's 3x3 conv: `Bottleneck` differs
 between ResNet and EPSANet only in the layer it puts at `conv2`. SENet's
@@ -108,8 +112,7 @@ class MaxPool(Layer):
 
 class GlobalAvgPool(Layer):
     def apply(self, x: Tensor, training: bool):
-        in_shape = x.shape
-        return ops.global_avg_pool(x), lambda dy: (ops._global_avg_pool_vjp(in_shape, dy), {})
+        return ops.global_avg_pool(x)
 
     def complexity(self, in_shape):
         out_shape = (*in_shape[:2], 1, 1)
@@ -135,21 +138,12 @@ class SeScale(SeWeightParams):
         return in_shape, [replace(row, output_shape=in_shape)]
 
 
-class Psa(Layer):
-    """PSA module as a layer over its parameter set `p`; `apply` calls
+class Psa(PsaParams):
+    """PSA module: its parameter set run as a layer. `apply` calls
     `psa_with_grad` through this module, where a profiler can wrap it."""
 
-    def __init__(self, config: PsaConfig, rng=0):
-        self.p = PsaParams.init(config, rng)
-
-    def children(self):
-        return self.p.children()
-
     def apply(self, x: Tensor, training: bool):
-        return psa_with_grad(x, self.p)
-
-    def complexity(self, in_shape):
-        return self.p.complexity(in_shape)
+        return psa_with_grad(x, self)
 
 
 @dataclass(frozen=True)
@@ -209,7 +203,7 @@ class Bottleneck(Layer):
             cfg = spec.psa
             if cfg.channels != mid:
                 raise ValueError(f"psa channels {cfg.channels} != mid {mid}")
-            self.conv2 = Psa(replace(cfg, stride=stride), rng)
+            self.conv2 = Psa.init(replace(cfg, stride=stride), rng)
         else:
             self.conv2 = Conv2dParams.init(mid, mid, 3, stride, 1, seed=rng)
         self.conv3 = Conv2dParams.init(mid, out, 1, seed=rng)
@@ -258,7 +252,6 @@ class Network(Layer):
 
     def __init__(self, spec: ModelSpec, seed: int = 0):
         rng = _rng(seed)
-        self.spec = spec
         self.layers = [
             ("stem.conv", Conv2dParams.init(3, spec.stem_channels, 7, 2, 3, seed=rng)),
             ("stem.bn", BatchNormParams.init(spec.stem_channels)),
@@ -280,10 +273,6 @@ class Network(Layer):
         """Returns (logits, vjp); logits is a (N, num_classes) array."""
         y, vjp = _chain(self.layers, x, training)
         return y.data.reshape(y.n, y.c), vjp
-
-    def forward(self, x: Tensor, training: bool = False) -> np.ndarray:
-        logits, _ = self.apply(x, training)
-        return logits
 
     # Defined on the class itself, so a profiler can wrap them here.
     params = Layer.params
@@ -409,7 +398,8 @@ def forward(model: Model, x: Tensor) -> np.ndarray:
     """Eval-mode forward pass to logits, shape (N, num_classes)."""
     if x.h < 32 or x.w < 32:
         raise ValueError(f"input spatial size {x.h}x{x.w} is below the 32-pixel minimum")
-    return model.net.forward(x, training=False)
+    logits, _ = model.net.apply(x, training=False)
+    return logits
 
 
 # Model-config schema (JSON): {name, num_classes, stem_channels,

@@ -135,12 +135,16 @@ class Layer:
 
         params()       {dotted name: array}, in forward order
         param_count    the total size of those arrays
-        set_param()    replace one parameter with a finite value of its shape
+        set_param()    replace one parameter with a finite real value of its shape
         state()        batch-norm running statistics (not trained)
         decay_names()  the parameters L2 decay applies to: every `*.weight`;
                        biases and batch-norm gamma/beta do not decay
         complexity()   (out_shape, [LayerRow]), the shape threaded through the
                        children; leaves add their own rows
+
+    The parameter composites in `psa` (`PsaParams`, `SeWeightParams`) have
+    no `apply`; they run through their subclasses in `models` (`Psa`,
+    `SeScale`), which add it.
 
     Parameter names are dotted paths, unique within a network. Parameter
     updates rebind arrays (they never mutate tensors in place), so an
@@ -180,20 +184,26 @@ class Layer:
     def decay_names(self) -> set[str]:
         return {name for name, _ in self._walk() if name.rsplit(".", 1)[-1] == "weight"}
 
-    def _slot(self, name: str) -> tuple["Layer", str]:
-        """The leaf that owns parameter name, and the attribute it sits in."""
+    def _slot(self, name: str) -> tuple["Layer", str] | None:
+        """The leaf that owns parameter name and the attribute it sits in, or None."""
         for cname, child in self.children():
             if name.startswith(cname + "."):
                 return child._slot(name[len(cname) + 1:])
-        if name not in self.slots():
-            raise KeyError(name)
-        return self, name
+        return (self, name) if name in self.slots() else None
 
     def set_param(self, name: str, value: np.ndarray) -> None:
-        """Rebind one parameter to a copy of value, which must keep its shape
-        and be finite; a NonFiniteError names the parameter as its `layer`."""
-        owner, attr = self._slot(name)
+        """Rebind one parameter to a float64 copy of value, which must be real
+        floating or integer, keep its shape and be finite. A KeyError names
+        the whole dotted name; a NonFiniteError names the parameter as its
+        `layer`."""
+        slot = self._slot(name)
+        if slot is None:
+            raise KeyError(name)
+        owner, attr = slot
         old = getattr(owner, attr)
+        value = np.asarray(value)
+        if value.dtype.kind not in "fiu":
+            raise ValueError(f"{name}: dtype {value.dtype} is not real floating or integer")
         value = np.array(value, dtype=np.float64)
         if value.shape != old.shape:
             raise ValueError(f"{name}: shape {value.shape} != {old.shape}")
@@ -550,14 +560,14 @@ def conv2d(x: Tensor, p: Conv2dParams) -> GradPair:
     return GradPair(_wrap(out), backward)
 
 
-def global_avg_pool(x: Tensor) -> Tensor:
+def global_avg_pool(x: Tensor) -> GradPair:
     """Spatial mean per channel, shape (N, C, 1, 1)."""
-    return _wrap(x.data.mean(axis=(2, 3), keepdims=True))
+    in_shape = x.shape  # the closure holds the shape, not the input
 
+    def backward(dy: np.ndarray):
+        return np.broadcast_to(dy / (in_shape[2] * in_shape[3]), in_shape).copy(), {}
 
-def _global_avg_pool_vjp(in_shape: tuple[int, int, int, int], dy: np.ndarray) -> np.ndarray:
-    _, _, h, w = in_shape
-    return np.broadcast_to(dy / (h * w), in_shape).copy()
+    return GradPair(_wrap(x.data.mean(axis=(2, 3), keepdims=True)), backward)
 
 
 def linear(x: Tensor, p: LinearParams) -> GradPair:

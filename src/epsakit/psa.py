@@ -23,7 +23,6 @@ from .ops import (
     Layer,
     LayerRow,
     LinearParams,
-    _global_avg_pool_vjp,
     _ledger,
     _rng,
     _softmax_over_scales_vjp,
@@ -212,8 +211,8 @@ class PsaParams(Layer):
 
 
 def _se_weight_grad(x: Tensor, p: SeWeightParams) -> GradPair:
-    pooled = global_avg_pool(x)
-    gp0 = linear(pooled, p.fc0)
+    gpp = global_avg_pool(x)
+    gp0 = linear(gpp.output, p.fc0)
     gpr = relu(gp0.output)
     gp1 = linear(gpr.output, p.fc1)
     gps = sigmoid(gp1.output)
@@ -225,7 +224,7 @@ def _se_weight_grad(x: Tensor, p: SeWeightParams) -> GradPair:
         d, g0 = gp0.backward(d)
         grads = {f"fc0.{k}": v for k, v in g0.items()}
         grads.update({f"fc1.{k}": v for k, v in g1.items()})
-        return _global_avg_pool_vjp(x.shape, d), grads
+        return gpp.backward(d)[0], grads
 
     return GradPair(gps.output, backward)
 

@@ -204,7 +204,7 @@ class TrainingHistory:
 
 def evaluate(model: Model, dataset: ToyDataset, alpha: float = 0.0):
     """Eval-mode loss and accuracy over the whole dataset."""
-    logits = model.net.forward(dataset.images, training=False)
+    logits, _ = model.net.apply(dataset.images, training=False)
     loss, _ = label_smoothed_ce(logits, dataset.labels, alpha)
     accuracy = float((logits.argmax(axis=1) == dataset.labels).mean())
     return loss, accuracy

@@ -7,7 +7,7 @@ import pytest
 
 from epsakit import models, ops, psa, training
 from epsakit.cli import main
-from epsakit.gradcheck import report_text
+from epsakit.gradcheck import TOLERANCE, report_text
 from epsakit.models import build_from_config, config_to_spec
 
 
@@ -37,6 +37,11 @@ class TestDescribe:
         code, _, err = run(capsys, "describe", "nosuchmodel")
         assert code == 2
         assert "unknown model" in err
+
+    def test_neither_model_nor_config_exit_2(self, capsys):
+        code, out, err = run(capsys, "describe")
+        assert code == 2 and out == ""
+        assert "a model name or --config is required" in err
 
     def test_config_file(self, capsys, tmp_path):
         cfg = {
@@ -128,6 +133,16 @@ class TestGradcheck:
         assert "gradient checks passed" in out
         assert out == report_text(gradcheck_run("psa", 7)) + "\n"
 
+    def test_json_report_matches_the_suite(self, capsys, gradcheck_run):
+        code, out, _ = run(capsys, "gradcheck", "ops", "--format", "json")
+        assert code == 0
+        want = [
+            {"name": r.name, "max_rel_error": r.max_rel_error,
+             "tolerance": TOLERANCE, "passed": r.passed}
+            for r in gradcheck_run("ops", 0)
+        ]
+        assert json.loads(out) == want and all(r["passed"] for r in want)
+
     def test_corrupted_backward_nonzero_exit(self, capsys, monkeypatch):
         # psa looks the op up under its own name
         sigmoid = psa.sigmoid
@@ -206,6 +221,16 @@ class TestAblation:
         assert len(defaults) == 1 and defaults[0]["groups"] == [1, 4, 8, 16]
         params = {tuple(r["groups"]): r["params"] for r in rows}
         assert params[(16, 16, 16, 16)] < params[(4, 8, 16, 16)] < params[(1, 4, 8, 16)]
+
+    def test_text_table(self, capsys):
+        code, out, _ = run(capsys, "ablation")
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header.split() == ["kernels", "groups", "params(M)", "flops(G)", "default"]
+        assert len(rows) == 3 and all(row.startswith("(3, 5, 7, 9)") for row in rows)
+        starred = [row for row in rows if row.endswith("*")]
+        assert len(starred) == 1 and "(1, 4, 8, 16)" in starred[0]
+        assert all("*" not in row[:-1] for row in rows)
 
 
 class TestNonFiniteExit:

@@ -276,6 +276,32 @@ class TestLayerProtocol:
         with pytest.raises(KeyError):
             net.set_param(name, np.zeros(1))
 
+    @pytest.mark.parametrize("name", [
+        "layer1.0.conv2.branch0.bias",
+        "layer1.0.conv2.branch0.bogus",
+        "layer1.0.conv2.branch9.weight",
+        "layer2.0.downsample.bn.running_mean",
+    ])
+    def test_set_param_key_error_names_the_whole_name(self, name):
+        net = build_toy_epsanet(seed=0).net
+        with pytest.raises(KeyError) as info:
+            net.set_param(name, np.zeros(1))
+        assert info.value.args == (name,)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.bool_, object])
+    def test_set_param_rejects_a_dtype_that_is_no_real_number(self, dtype):
+        """A complex value would lose its imaginary part and a bool array
+        would turn into 0/1; both are refused, naming the parameter."""
+        net = build_toy_epsanet(seed=0).net
+        before = net.params()
+        saved = {k: v.copy() for k, v in before.items()}
+        value = np.ones_like(before["fc.bias"]).astype(dtype)
+        with pytest.raises(ValueError, match="fc.bias"):
+            net.set_param("fc.bias", value)
+        after = net.params()
+        for k, v in after.items():
+            assert v is before[k] and np.array_equal(v, saved[k]), k
+
     @pytest.mark.parametrize("name", ["fc.weight", "layer1.0.bn1.gamma", "layer1.0.conv1.weight"])
     def test_set_param_rejects_non_finite(self, name):
         net = build_toy_epsanet(seed=0).net
@@ -373,10 +399,10 @@ class TestEvalKeepsNothing:
         x = random_uniform((8, 3, 64, 64), seed=0)
         _, rows = net.complexity(x.shape)
         largest = 8 * max(int(np.prod(r.output_shape)) for r in rows)
-        net.forward(x)
+        net.apply(x)
         tracemalloc.start()
         try:
-            net.forward(x)
+            net.apply(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -389,7 +415,7 @@ class TestNonFiniteNaming:
         name = "layer2.0.downsample.bn.beta"
         net.params()[name][...] = np.nan  # set_param would refuse it
         with pytest.raises(NonFiniteError) as info:
-            net.forward(random_uniform((2, 3, 32, 32), seed=0))
+            net.apply(random_uniform((2, 3, 32, 32), seed=0))
         assert (info.value.layer, info.value.phase) == ("layer2.0.downsample.bn", "forward")
 
     def test_per_op_check_catches_an_overflow_a_later_op_squashes(self):
@@ -403,5 +429,5 @@ class TestNonFiniteNaming:
         for name in ("fc1.weight", "fc1.bias"):
             net.set_param(se + name, np.full_like(params[se + name], 1e308))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
-            net.forward(random_uniform((2, 3, 32, 32), seed=0))
+            net.apply(random_uniform((2, 3, 32, 32), seed=0))
         assert (info.value.layer, info.value.phase) == ("layer1.0.conv2", "forward")

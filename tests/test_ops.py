@@ -107,18 +107,18 @@ class TestConv2d:
 class TestGlobalAvgPool:
     def test_constant(self):
         x = Tensor(np.full((2, 3, 5, 5), 7.5))
-        out = ops.global_avg_pool(x)
+        out = ops.global_avg_pool(x).output
         assert out.shape == (2, 3, 1, 1)
         assert np.all(out.data == 7.5)
 
     def test_hand_value(self):
         x = Tensor(np.array([1.0, 2, 3, 4]).reshape(1, 1, 2, 2))
-        assert ops.global_avg_pool(x).data[0, 0, 0, 0] == 2.5
+        assert ops.global_avg_pool(x).output.data[0, 0, 0, 0] == 2.5
 
     def test_matches_loop_oracle(self, rng):
         x = Tensor(rng.standard_normal((2, 4, 3, 5)))
         np.testing.assert_allclose(
-            ops.global_avg_pool(x).data, naive_gap(x.data), atol=1e-12
+            ops.global_avg_pool(x).output.data, naive_gap(x.data), atol=1e-12
         )
 
 

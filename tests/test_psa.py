@@ -226,14 +226,14 @@ class TestCanonicalBackward:
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_directional_derivatives(self, rng, stride):
-        layer = Psa(PsaConfig(64, stride=stride), rng)
+        layer = Psa.init(PsaConfig(64, stride=stride), rng)
         x = rng.standard_normal((2, 64, 8, 8))
-        gp = psa_with_grad(Tensor(x), layer.p)
+        gp = psa_with_grad(Tensor(x), layer)
         w = rng.standard_normal(gp.output.shape)
         dx, grads = gp.backward(w)
 
         def objective(xa):
-            return float((psa_with_grad(Tensor(xa), layer.p).output.data * w).sum())
+            return float((psa_with_grad(Tensor(xa), layer).output.data * w).sum())
 
         v = rng.standard_normal(x.shape)
         fd = (objective(x + self.EPS * v) - objective(x - self.EPS * v)) / (2 * self.EPS)

@@ -237,16 +237,16 @@ class TestCheckpoint:
     def test_roundtrip_restores_outputs(self, tmp_path):
         model, ds, cfg = tiny_setup(epochs=1)
         train(model, ds, cfg)
-        logits_before = model.net.forward(ds.images, training=False)
+        logits_before = model.net.apply(ds.images, training=False)[0]
         save_params(model, tmp_path / "ckpt")
 
         fresh = models.build_toy_epsanet(
             num_classes=4, widths=(16, 32), blocks=(1, 1), stem_channels=16, seed=999
         )
-        assert not np.allclose(fresh.net.forward(ds.images, training=False), logits_before)
+        assert not np.allclose(fresh.net.apply(ds.images, training=False)[0], logits_before)
         load_params(fresh, tmp_path / "ckpt")
         np.testing.assert_allclose(
-            fresh.net.forward(ds.images, training=False), logits_before, atol=0
+            fresh.net.apply(ds.images, training=False)[0], logits_before, atol=0
         )
 
     @staticmethod
@@ -507,6 +507,17 @@ class TestDivergenceReport:
         err = info.value
         assert (err.step, err.phase, err.layer) == (0, "backward", "layer1.0.bn1")
         assert np.isfinite(err.last_finite_loss)
+
+    def test_non_finite_loss_from_finite_logits(self):
+        """Logits of +-1e308 are finite, so the forward passes them; the loss
+        over them is not. The loss phase names no layer and has no cause."""
+        model, ds, cfg = tiny_setup()
+        model.net.set_param("fc.bias", np.array([1e308, -1e308, 0.0, 0.0]))
+        with pytest.raises(TrainingDiverged) as info:
+            train(model, ds, cfg)
+        err = info.value
+        assert (err.step, err.phase, err.layer, err.last_finite_loss) == (0, "loss", None, None)
+        assert err.__cause__ is None
 
     def test_reports_step_and_last_finite_loss(self, monkeypatch):
         losses = []
