@@ -1,9 +1,9 @@
 """Command-line surface: describe, complexity, gradcheck, train-toy, ablation.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numerical
-failure (a failed gradient check, a diverged training run, or NaN/Inf in
-a forward or backward pass). All subcommands are deterministic given
-flags and seed.
+Exit codes: 0 success, 2 usage or configuration error (a model too big
+to build included), 3 numerical failure (a failed gradient check, a
+diverged training run, or NaN/Inf in a forward or backward pass). All
+subcommands are deterministic given flags and seed.
 """
 
 from __future__ import annotations
@@ -29,15 +29,14 @@ def _emit(text: str, output: str | None) -> None:
         print(text)
 
 
-def _load_model(args, num_classes: int = 1000) -> models.Model:
-    if getattr(args, "config", None):
-        cfg = json.loads(Path(args.config).read_text())
-        return models.build_from_config(cfg, seed=args.seed)
-    return models.build_model(args.model, num_classes=num_classes, seed=args.seed)
-
-
 def cmd_describe(args) -> int:
-    model = _load_model(args)
+    if args.config:
+        model = models.build_from_config(json.loads(Path(args.config).read_text()), seed=args.seed)
+    elif args.model:
+        model = models.build_model(args.model, seed=args.seed)
+    else:
+        print("describe: a model name or --config is required", file=sys.stderr)
+        return EXIT_USAGE
     desc = models.describe(model, input_size=args.input_size)
     _emit(desc.to_json() if args.format == "json" else desc.to_text(), args.output)
     return EXIT_OK
@@ -81,6 +80,8 @@ def cmd_train_toy(args) -> int:
     cfg = dataclasses.replace(defaults.TOY_TRAIN, **overrides)  # ValueError: exit 2
     ds = training.make_toy_dataset(**defaults.TOY_DATASET)
     model = models.build_toy_epsanet(num_classes=ds.num_classes, **defaults.TOY_MODEL)
+    if args.output:  # before training, so a bad path costs no run
+        Path(args.output).mkdir(parents=True, exist_ok=True)
     try:
         history = training.train(model, ds, cfg)
     except training.TrainingDiverged as err:
@@ -88,7 +89,6 @@ def cmd_train_toy(args) -> int:
         return EXIT_NUMERIC
     if args.output:
         outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "history.csv").write_text(history.to_csv())
         (outdir / "summary.json").write_text(history.summary_json() + "\n")
     print(history.summary_json())
@@ -184,9 +184,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         # argparse exits 2 on usage errors already; normalize other codes
         return int(err.code) if err.code else EXIT_OK
-    if getattr(args, "command", None) == "describe" and not (args.model or args.config):
-        print("describe: a model name or --config is required", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except KeyError as err:
@@ -195,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonFiniteError as err:  # a ValueError, so caught first
         print(f"error: {err} (layer {err.layer}, phase {err.phase})", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -116,8 +116,7 @@ def _check_ops(s: _Suite) -> None:
     xb = _rand_tensor(rng, (2, 3, 4, 4))
     s.check("batch_norm.train", _train(bn), xb, bn, ("gamma",))
     bn = ops.BatchNormParams.init(3)
-    bn.state()["running_mean"][:] = rng.uniform(-0.5, 0.5, 3)
-    bn.state()["running_var"][:] = rng.uniform(0.5, 2.0, 3)
+    bn.assign({"running_mean": rng.uniform(-0.5, 0.5, 3), "running_var": rng.uniform(0.5, 2.0, 3)})
     s.check("batch_norm.eval", lambda t: bn.apply(t, False), xb)
 
     # max pool on well-separated values (no ties within epsilon)

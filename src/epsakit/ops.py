@@ -122,6 +122,29 @@ def _weight_bias(p) -> tuple[str, ...]:
     return ("weight",) if p.bias is None else ("weight", "bias")
 
 
+def _checked(root: "Layer", name: str, value: np.ndarray, state: bool):
+    """(owner, attribute, new value) rebinding dotted name under root by the
+    rule `Layer.assign` states; without state only parameter names count."""
+    slot = root._slot(name, state)
+    if slot is None:
+        raise KeyError(name)
+    owner, attr = slot
+    old = getattr(owner, attr)
+    value = np.asarray(value)
+    if value.dtype.kind not in "fiu":
+        raise ValueError(f"{name}: dtype {value.dtype} is not real floating or integer")
+    value = np.array(value, dtype=np.float64)
+    if value.shape != old.shape:
+        raise ValueError(f"{name}: shape {value.shape} != {old.shape}")
+    if not _all_finite(value):
+        err = NonFiniteError(f"{name} has NaN or Inf")
+        err.layer = name
+        raise err
+    if attr == "running_var" and np.any(value < 0):
+        raise ValueError(f"{name}: running_var must be non-negative")
+    return owner, attr, _wrap(value) if isinstance(old, Tensor) else value
+
+
 class Layer:
     """Base of every layer. Every layer implements
 
@@ -135,8 +158,10 @@ class Layer:
 
         params()       {dotted name: array}, in forward order
         param_count    the total size of those arrays
-        set_param()    replace one parameter with a finite real value of its shape
         state()        batch-norm running statistics (not trained)
+        assign()       rebind parameters and running statistics by dotted
+                       name, checking every value before binding any
+        set_param()    assign() of one parameter
         decay_names()  the parameters L2 decay applies to: every `*.weight`;
                        biases and batch-norm gamma/beta do not decay
         complexity()   (out_shape, [LayerRow]), the shape threaded through the
@@ -146,10 +171,11 @@ class Layer:
     no `apply`; they run through their subclasses in `models` (`Psa`,
     `SeScale`), which add it.
 
-    Parameter names are dotted paths, unique within a network. Parameter
-    updates rebind arrays (they never mutate tensors in place), so an
-    eval-mode forward is safe to run concurrently. A layer is a tree node,
-    not a value: layers compare by identity.
+    Parameter names are dotted paths, unique within a network. Every
+    change to a parameter or running statistic rebinds it (nothing in this
+    package writes a stored array in place), so an eval-mode forward is
+    safe to run concurrently. A layer is a tree node, not a value: layers
+    compare by identity.
     """
 
     def children(self) -> list[tuple[str, "Layer"]]:
@@ -178,40 +204,37 @@ class Layer:
         return sum(v.size for _, v in self._walk())
 
     def state(self) -> dict[str, np.ndarray]:
-        """Live running statistics; loading a checkpoint writes into them."""
+        """The running statistics bound now; a training forward or `assign`
+        rebinds them."""
         return dict(self._walk(state=True))
 
     def decay_names(self) -> set[str]:
         return {name for name, _ in self._walk() if name.rsplit(".", 1)[-1] == "weight"}
 
-    def _slot(self, name: str) -> tuple["Layer", str] | None:
-        """The leaf that owns parameter name and the attribute it sits in, or None."""
+    def _slot(self, name: str, state: bool) -> tuple["Layer", str] | None:
+        """The leaf that owns parameter (with state, or running statistic)
+        name and the attribute it sits in, or None."""
         for cname, child in self.children():
             if name.startswith(cname + "."):
-                return child._slot(name[len(cname) + 1:])
-        return (self, name) if name in self.slots() else None
+                return child._slot(name[len(cname) + 1:], state)
+        found = name in self.slots() or state and name in self.state_slots()
+        return (self, name) if found else None
+
+    def assign(self, values: dict[str, np.ndarray]) -> None:
+        """Rebind parameters and running statistics, {dotted name: value},
+        each to a float64 copy, a Tensor where the old value was one. Every
+        entry is checked before any is bound, so a refused call changes
+        nothing: an unknown name is a KeyError (with the whole name); a
+        dtype that is not real floating or integer, a changed shape or a
+        negative running_var a ValueError; NaN or Inf a NonFiniteError
+        naming the entry as its `layer`."""
+        checked = [_checked(self, name, value, state=True) for name, value in values.items()]
+        for owner, attr, value in checked:
+            setattr(owner, attr, value)
 
     def set_param(self, name: str, value: np.ndarray) -> None:
-        """Rebind one parameter to a float64 copy of value, which must be real
-        floating or integer, keep its shape and be finite. A KeyError names
-        the whole dotted name; a NonFiniteError names the parameter as its
-        `layer`."""
-        slot = self._slot(name)
-        if slot is None:
-            raise KeyError(name)
-        owner, attr = slot
-        old = getattr(owner, attr)
-        value = np.asarray(value)
-        if value.dtype.kind not in "fiu":
-            raise ValueError(f"{name}: dtype {value.dtype} is not real floating or integer")
-        value = np.array(value, dtype=np.float64)
-        if value.shape != old.shape:
-            raise ValueError(f"{name}: shape {value.shape} != {old.shape}")
-        if not _all_finite(value):
-            err = NonFiniteError(f"{name} has NaN or Inf")
-            err.layer = name
-            raise err
-        setattr(owner, attr, _wrap(value) if isinstance(old, Tensor) else value)
+        """`assign` of one parameter; a running statistic's name is a KeyError."""
+        setattr(*_checked(self, name, value, state=False))
 
     def complexity(self, in_shape) -> tuple[tuple, list[LayerRow]]:
         return _ledger(self.children(), in_shape)
@@ -341,8 +364,8 @@ class BatchNormParams(Layer):
     """Per-channel affine normalization, a leaf layer: gamma and beta are its
     parameters, running_mean and running_var its state.
 
-    Training mode mutates running_mean/running_var in place, so a parameter
-    set being trained must not be shared across concurrent callers.
+    Training mode rebinds running_mean/running_var, so a parameter set
+    being trained must not be shared across concurrent callers.
     """
 
     gamma: np.ndarray
@@ -647,8 +670,8 @@ def _softmax_over_scales_vjp(att: np.ndarray, datt: np.ndarray) -> np.ndarray:
 def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> GradPair:
     """Batch normalization over (N, H, W) per channel.
 
-    Training mode normalizes with batch statistics and updates the running
-    statistics in place (torch-style: running <- (1-m)*running + m*batch,
+    Training mode normalizes with batch statistics and rebinds the running
+    statistics (torch-style: running <- (1-m)*running + m*batch,
     with the unbiased variance feeding the running update). It centres x
     once, out = x - mean, takes the variance from that buffer and finishes
     it in place, out = (x - mean)*scale + beta. Eval runs as one
@@ -669,13 +692,10 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> GradPair:
         out = np.subtract(xd, mean[None, :, None, None])
         var = np.einsum("nchw,nchw->c", out, out) / m
         corr = m / (m - 1) if m > 1 else 1.0
-        p.running_mean[:] = (1 - BN_MOMENTUM) * p.running_mean + BN_MOMENTUM * mean
-        p.running_var[:] = (1 - BN_MOMENTUM) * p.running_var + BN_MOMENTUM * var * corr
+        p.running_mean = (1 - BN_MOMENTUM) * p.running_mean + BN_MOMENTUM * mean
+        p.running_var = (1 - BN_MOMENTUM) * p.running_var + BN_MOMENTUM * var * corr
     else:
-        # Copies: a later training forward updates the running statistics
-        # in place, and this forward's backward must not see that.
-        mean = p.running_mean.copy()
-        var = p.running_var
+        mean, var = p.running_mean, p.running_var
         out = np.empty_like(xd)
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)

@@ -6,7 +6,7 @@ A checkpoint is one NumPy .npz file that holds every parameter and
 batch-norm running statistic under its dotted name. `save_params` puts it
 in place with a single rename, so a crash leaves the target holding the
 previous checkpoint or the new one, whole; `load_params` checks every
-entry before it writes any.
+entry before it binds any.
 
 The batch partition is shuffled once per run (not per epoch) so that a
 zero learning rate provably yields a flat loss curve; at 32-sample scale
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import Model
-from .tensor import NonFiniteError, Tensor, _all_finite, _wrap
+from .tensor import NonFiniteError, Tensor, _wrap
 
 __all__ = [
     "TrainConfig",
@@ -253,11 +253,10 @@ def train(model: Model, dataset: ToyDataset, cfg: TrainConfig) -> TrainingHistor
                     raise TrainingDiverged(step, err.phase, err.layer, last_loss) from err
                 params = model.net.params()
                 new_params, state = sgd_step(params, grads, state, cfg, lr=lr, no_decay=no_decay)
-                for name, value in new_params.items():
-                    if not _all_finite(value):
-                        raise TrainingDiverged(step, "update", name, last_loss)
-                for name, value in new_params.items():
-                    model.net.set_param(name, value)
+                try:
+                    model.net.assign(new_params)
+                except NonFiniteError as err:
+                    raise TrainingDiverged(step, "update", err.layer, last_loss) from None
                 hits = int((logits.argmax(axis=1) == yb).sum())
                 epoch_hits += hits
                 epoch_losses.append(loss)
@@ -340,31 +339,16 @@ def load_params(model: Model, path: str | Path) -> None:
     """Load a checkpoint written by save_params.
 
     Raises KeyError when its entries differ from the model's parameters and
-    state, and ValueError on a dtype that is not real floating or integer,
-    a wrong shape, a NaN or Inf, or a negative running_var, or when path is
-    not a checkpoint by the rule `save_params` refuses a target by; each
-    before any write.
+    state, and ValueError when path is not a checkpoint by the rule
+    `save_params` refuses a target by or when `Layer.assign` refuses an
+    entry (a NonFiniteError for NaN or Inf); each before any write.
     """
     if not _holds_checkpoint(path):
         raise ValueError(f"{path} holds no checkpoint")
     with np.load(path, allow_pickle=False) as archive:
         values = {name: archive[name] for name in archive.files}
-    state = model.net.state()
-    current = {**model.net.params(), **state}
+    current = {**model.net.params(), **model.net.state()}
     missing, extra = sorted(current.keys() - values.keys()), sorted(values.keys() - current.keys())
     if missing or extra:
         raise KeyError(f"checkpoint does not match the model: missing {missing}, extra {extra}")
-    for name, value in values.items():
-        if value.dtype.kind not in "fiu":
-            raise ValueError(f"checkpoint entry {name!r}: dtype {value.dtype} is not real floating or integer")
-        if value.shape != current[name].shape:
-            raise ValueError(f"checkpoint entry {name!r}: shape {value.shape} != {current[name].shape}")
-        if not _all_finite(value):
-            raise ValueError(f"checkpoint entry {name!r} has NaN or Inf")
-        if name.endswith(".running_var") and np.any(value < 0):
-            raise ValueError(f"checkpoint entry {name!r}: running_var must be non-negative")
-    for name, value in values.items():
-        if name in state:
-            state[name][:] = value
-        else:
-            model.net.set_param(name, value)
+    model.net.assign(values)

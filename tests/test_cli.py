@@ -93,6 +93,20 @@ class TestDescribe:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    def test_model_too_big_to_build_exit_2(self, capsys, tmp_path, monkeypatch):
+        """A config whose arrays do not fit in memory is a configuration
+        error. The build is stubbed: really allocating could get the test
+        killed on a host that overcommits memory."""
+        def too_big(cfg, seed=0):
+            raise MemoryError("Unable to allocate 671. GiB for an array")
+
+        monkeypatch.setattr(models, "build_from_config", too_big)
+        path = tmp_path / "big.json"
+        path.write_text("{}")
+        code, out, err = run(capsys, "describe", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: Unable to allocate 671. GiB for an array\n"
+
 
 class TestComplexity:
     def test_single_model_values(self, capsys):
@@ -183,6 +197,15 @@ class TestTrainToy:
         code, out, _ = run(capsys, "train-toy", "--epochs", "0", "--output", str(tmp_path))
         assert code == 2
         assert out == "" and not (tmp_path / "summary.json").exists()
+
+    def test_unusable_output_exit_2_before_training(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *args: calls.append(args))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = run(capsys, "train-toy", "--epochs", "2", "--output", str(taken))
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert calls == []
 
     @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--momentum", "inf")])
     def test_non_finite_rate_exit_2(self, capsys, flag, value):

@@ -324,6 +324,27 @@ class TestLayerProtocol:
             net.set_param(name, new)
         assert np.array_equal(net.params()[name], new)
 
+    def test_assign_checks_every_entry_before_binding_any(self):
+        net = build_toy_epsanet(seed=0).net
+        before = {**net.params(), **net.state()}
+        saved = {k: v.copy() for k, v in before.items()}
+        values = {
+            "fc.bias": before["fc.bias"] + 1.0,
+            "stem.bn.running_mean": before["stem.bn.running_mean"] + 1.0,
+            "layer1.0.bn1.running_var": -before["layer1.0.bn1.running_var"],
+        }
+        with pytest.raises(ValueError, match="layer1.0.bn1.running_var"):
+            net.assign(values)
+        for k, v in {**net.params(), **net.state()}.items():
+            assert v is before[k] and np.array_equal(v, saved[k]), k
+
+    def test_assign_key_error_names_the_whole_name(self):
+        net = build_toy_epsanet(seed=0).net
+        name = "layer1.0.conv2.branch9.weight"
+        with pytest.raises(KeyError) as info:
+            net.assign({name: np.zeros(1)})
+        assert info.value.args == (name,)
+
     def test_chain_passes_a_huge_finite_gradient(self):
         class Emit(models.Layer):
             def apply(self, x, training):

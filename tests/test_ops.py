@@ -230,6 +230,13 @@ class TestBatchNorm:
         ops.batch_norm(x, p, training=True)
         assert np.all(p.running_mean != 0)
 
+    def test_training_rebinds_the_running_stats(self, rng):
+        p = BatchNormParams.init(2)
+        mean, var = p.running_mean, p.running_var
+        ops.batch_norm(Tensor(rng.standard_normal((2, 2, 3, 3)) + 5), p, True)
+        assert p.running_mean is not mean and p.running_var is not var
+        assert np.all(mean == 0) and np.all(var == 1)
+
     @pytest.mark.parametrize("training", [True, False])
     def test_backward_uses_forward_gamma(self, rng, training):
         p = BatchNormParams.init(3)
@@ -243,8 +250,8 @@ class TestBatchNorm:
 
     def test_backward_uses_forward_running_stats(self, rng):
         """A training forward between an eval forward and its backward
-        updates the running statistics in place; the eval backward still
-        uses the statistics its forward read."""
+        rebinds the running statistics; the eval backward still uses the
+        statistics its forward read."""
         def params():
             p = BatchNormParams.init(3)
             p.gamma[:] = [0.5, 1.5, 2.0]
