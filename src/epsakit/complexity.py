@@ -102,7 +102,7 @@ class ComplexityReport:
 
 def count_params(model: Model) -> int:
     """Exact trainable-parameter count by enumeration."""
-    return sum(v.size for v in model.net.params().values())
+    return model.net.param_count
 
 
 def count_flops(model: Model, input_shape: tuple[int, int, int, int] = (1, 3, 224, 224)) -> int:

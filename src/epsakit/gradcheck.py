@@ -10,8 +10,10 @@ the input's, recorded as `name.input`, then that of each parameter in
 `layer.params()`, perturbed through `layer.set_param` and restored
 bitwise afterwards. Each check reports the max element-wise relative error
 (denominator clamped at 1e-8). Only the softmax across scales, which works
-on a raw 5-D array, is checked outside the routine. Shared by the test
-suite and the `gradcheck` CLI subcommand.
+on a raw 5-D array, is checked outside the routine. The ops and the leaf
+and parameter-free layers come from `ops`, `Psa` and the bottleneck blocks
+from `models`. Shared by the test suite and the `gradcheck` CLI
+subcommand.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import ops
 from .defaults import GRADCHECK_EPSILON as EPSILON, GRADCHECK_TOLERANCE as TOLERANCE
-from .models import BlockSpec, MaxPool, Psa, build_block
+from .models import BlockSpec, Psa, build_block
 from .psa import PsaConfig
 from .tensor import Tensor
 
@@ -121,7 +123,7 @@ def _check_ops(s: _Suite) -> None:
 
     # max pool on well-separated values (no ties within epsilon)
     vals = rng.permutation(np.arange(2 * 3 * 8 * 8, dtype=np.float64)) * 0.01
-    s.check("max_pool", _train(MaxPool(3, 2, 1)), Tensor(vals.reshape(2, 3, 8, 8)))
+    s.check("max_pool", _train(ops.MaxPool(3, 2, 1)), Tensor(vals.reshape(2, 3, 8, 8)))
 
     s.check("global_avg_pool", ops.global_avg_pool, _rand_tensor(rng, (2, 4, 5, 5)))
 

@@ -1,36 +1,35 @@
 """Bottleneck blocks and declarative builders for the ResNet / SENet / EPSANet family.
 
 Networks are trees of `ops.Layer`s whose leaves are the parameter sets and
-the parameter-free ops here; `Psa` and `SeScale` are the `psa` parameter
-composites with an `apply` added. A composite (`Bottleneck`, `Network`)
-runs its children with the one chain runner `_chain`. In eval (`training`
-false) it returns vjp=None and keeps no closure, so each activation is
-freed once the next layer has read it. The chain checks each child's dx
-for NaN/Inf once. A NonFiniteError from either pass gets `layer`, the
-dotted name of the layer that failed, prefixed at each level it passes
-up, and `phase`, "forward" or "backward".
+the parameter-free layers of `ops`; `Psa` and `SeScale` are the `psa`
+parameter composites with an `apply` added or replaced. A composite
+(`Bottleneck`, `Network`) runs its children with `ops._chain`. In eval
+(`training` false) it returns vjp=None and keeps no closure, so each
+activation is freed once the next layer has read it. The chain checks each
+child's dx for NaN/Inf once. A NonFiniteError from either pass gets
+`layer`, the dotted name of the layer that failed, prefixed at each level
+it passes up, and `phase`, "forward" or "backward".
 
 `Network.apply(x, training)` returns (logits, vjp), the training entry;
 `forward(model, x)` is the eval entry, returning the logits alone.
 
 PSA is a drop-in for the bottleneck's 3x3 conv: `Bottleneck` differs
 between ResNet and EPSANet only in the layer it puts at `conv2`. SENet's
-SE layer runs the same SE op (`psa._se_weight_grad`) as PSA, without biases.
+SE layer runs the same SE weighter (`psa.SeWeightParams`) as PSA, without biases.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from . import ops
-from .ops import BatchNormParams, Conv2dParams, Layer, LayerRow, LinearParams, _ledger, _rng, conv_output_size
-from .psa import PsaConfig, PsaParams, SeWeightParams, _json, _se_weight_grad, default_groups, psa_with_grad
-from .tensor import NonFiniteError, Tensor, _all_finite, _wrap
+from .ops import BatchNormParams, Conv2dParams, GlobalAvgPool, Layer, LayerRow, LinearParams, MaxPool, ReLU
+from .ops import _chain, _ledger, _rng
+from .psa import PsaConfig, PsaParams, SeWeightParams, _json, default_groups, psa_with_grad
+from .tensor import Tensor, _wrap
 
 __all__ = [
     "Layer",
@@ -55,76 +54,12 @@ __all__ = [
 ]
 
 
-@contextmanager
-def _located(name: str, phase: str):
-    """Prefix a NonFiniteError's layer path with name; keep an inner phase."""
-    try:
-        yield
-    except NonFiniteError as err:
-        err.layer = name if err.layer is None else f"{name}.{err.layer}"
-        err.phase = err.phase or phase
-        raise
-
-
-def _chain(layers, x: Tensor, training: bool):
-    """Run (name, layer) pairs in order; the vjp (None in eval) names each gradient and checks each dx."""
-    vjps = []
-    for name, layer in layers:
-        with _located(name, "forward"):
-            x, vjp = layer.apply(x, training)
-        if training:
-            vjps.append((name, vjp))
-    if not training:
-        return x, None
-
-    def vjp(dy):
-        grads: dict[str, np.ndarray] = {}
-        for name, v in reversed(vjps):
-            with _located(name, "backward"):
-                dy, g = v(dy)
-                if not _all_finite(dy):
-                    raise NonFiniteError("gradient has NaN or Inf")
-            grads.update({f"{name}.{k}": a for k, a in g.items()})
-        return dy, grads
-
-    return x, vjp
-
-
-class ReLU(Layer):
-    def apply(self, x: Tensor, training: bool):
-        return ops.relu(x)
-
-
-class MaxPool(Layer):
-    def __init__(self, kernel=3, stride=2, padding=1):
-        self.kernel, self.stride, self.padding = kernel, stride, padding
-
-    def apply(self, x: Tensor, training: bool):
-        return ops.max_pool(x, self.kernel, self.stride, self.padding)
-
-    def complexity(self, in_shape):
-        n, c, h, w = in_shape
-        ho = conv_output_size(h, self.kernel, self.stride, self.padding)
-        wo = conv_output_size(w, self.kernel, self.stride, self.padding)
-        out_shape = (n, c, ho, wo)
-        return out_shape, [LayerRow("", 0, 0, out_shape)]
-
-
-class GlobalAvgPool(Layer):
-    def apply(self, x: Tensor, training: bool):
-        return ops.global_avg_pool(x)
-
-    def complexity(self, in_shape):
-        out_shape = (*in_shape[:2], 1, 1)
-        return out_shape, [LayerRow("", 0, 0, out_shape)]
-
-
 class SeScale(SeWeightParams):
     """Squeeze-excitation recalibration x * se_weight(x): the SE weighter's
     parameter set run as a scale. SENet builds it with bias-free FCs."""
 
     def apply(self, x: Tensor, training: bool):
-        gp = _se_weight_grad(x, self)
+        gp = super().apply(x, training)
         w = gp.output.data
 
         def vjp(dy):
@@ -209,8 +144,8 @@ class Bottleneck(Layer):
         self.conv3 = Conv2dParams.init(mid, out, 1, seed=rng)
         self.relu = ReLU()
         self.body = [
-            ("conv1", self.conv1), ("bn1", BatchNormParams.init(mid)), ("relu", self.relu),
-            ("conv2", self.conv2), ("bn2", BatchNormParams.init(mid)), ("relu", self.relu),
+            ("conv1", self.conv1), ("bn1", BatchNormParams.init(mid)), ("relu1", self.relu),
+            ("conv2", self.conv2), ("bn2", BatchNormParams.init(mid)), ("relu2", self.relu),
             ("conv3", self.conv3), ("bn3", BatchNormParams.init(out)),
         ]
         if spec.kind == "se":
@@ -223,12 +158,12 @@ class Bottleneck(Layer):
             ]
 
     def children(self):
-        return self.body + self.shortcut
+        return self.body + self.shortcut + [("relu3", self.relu)]
 
     def apply(self, x: Tensor, training: bool):
         h, body_vjp = _chain(self.body, x, training)
         s, shortcut_vjp = _chain(self.shortcut, x, training)
-        y, relu_vjp = self.relu.apply(_wrap(h.data + s.data), training)
+        y, relu_vjp = _chain([("relu3", self.relu)], _wrap(h.data + s.data), training)
         if not training:
             return y, None
 
@@ -403,7 +338,20 @@ def forward(model: Model, x: Tensor) -> np.ndarray:
 
 
 # Model-config schema (JSON): {name, num_classes, stem_channels,
-# stages: [{repeats, mid_channels, kind, out_channels, se_reduction?, psa?}]}
+# stages: [{repeats, mid_channels, kind, out_channels, se_reduction?, psa?}]},
+# psa as PsaConfig.to_dict writes it. No other field is accepted.
+_MODEL_FIELDS = ("name", "num_classes", "stem_channels", "stages")
+_STAGE_FIELDS = ("repeats", "mid_channels", "kind", "out_channels", "se_reduction", "psa")
+_PSA_FIELDS = ("scales", "kernels", "groups", "se_reduction")
+
+
+def _fields(d, known: tuple[str, ...], where: str) -> dict:
+    """d, a JSON object each of whose fields is one of known."""
+    for key in _json(d, dict, where):
+        if key not in known:
+            raise ValueError(f"unknown {where} field {key!r}")
+    return d
+
 
 def spec_to_config(spec: ModelSpec) -> dict:
     stages = []
@@ -428,17 +376,22 @@ def spec_to_config(spec: ModelSpec) -> dict:
 
 
 def config_to_spec(cfg: dict) -> ModelSpec:
-    """Parse a model config. A missing field raises KeyError; a field of the
+    """Parse a model config. A missing field raises KeyError; an unknown
+    field, a psa entry on a stage whose kind is not epsa, a field of the
     wrong JSON type (a float, bool or string where an integer belongs, or a
     number where a list or object belongs) or a bad value raises ValueError,
     naming the field where it can."""
     try:
+        _fields(cfg, _MODEL_FIELDS, "model config")
         stages = []
         for st in _json(cfg["stages"], list, "stages"):
+            _fields(st, _STAGE_FIELDS, "stage")
             mid = _json(st["mid_channels"], int, "mid_channels")
             kind = st["kind"]
             out = _json(st.get("out_channels", 4 * mid), int, "out_channels")
-            psa = PsaConfig.from_dict(mid, st["psa"]) if kind == "epsa" else None
+            # BlockSpec refuses a psa entry on any other kind
+            has_psa = kind == "epsa" or "psa" in st
+            psa = PsaConfig.from_dict(mid, _fields(st["psa"], _PSA_FIELDS, "psa")) if has_psa else None
             block = BlockSpec(
                 kind=kind, mid_channels=mid, out_channels=out, psa=psa,
                 se_reduction=_json(st.get("se_reduction", 16), int, "se_reduction"),

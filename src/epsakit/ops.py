@@ -7,7 +7,11 @@ finite-difference oracle that also lives here.
 
 A parameter set is its leaf layer: `Conv2dParams`, `LinearParams` and
 `BatchNormParams` implement `Layer`, the one layer protocol, and `apply`
-runs their op. The composites in `psa` and `models` are trees of them.
+runs their op. The parameter-free layers `ReLU`, `Sigmoid`, `MaxPool` and
+`GlobalAvgPool` live here too. The composites in `psa` and `models` are
+trees of them, and every composite runs its children with the one chain
+runner here, `_chain`, which keys each child's gradients by its name and
+checks each child's dx for NaN/Inf once.
 
 Forward values are `Tensor`s: read-only, and checked finite as each op
 wraps its output, so NaN or Inf raises `NonFiniteError` where it first
@@ -15,7 +19,7 @@ appears. That check, like every other finiteness guard in the package,
 is `tensor._all_finite`: one BLAS dot of the output with itself, exact.
 Gradients are plain float64 ndarrays: a backward takes dy with the
 output's shape and returns dx with the input's shape, unwrapped and
-unchecked (the layer chain in `models` checks each layer's dx once), and
+unchecked (`_chain` checks each layer's dx once), and
 parameter gradients are ndarrays keyed by parameter name. A GradPair
 unpacks as (output, backward).
 
@@ -54,6 +58,7 @@ strategy as its groups run one by one, and the two agree bitwise.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -167,9 +172,9 @@ class Layer:
         complexity()   (out_shape, [LayerRow]), the shape threaded through the
                        children; leaves add their own rows
 
-    The parameter composites in `psa` (`PsaParams`, `SeWeightParams`) have
-    no `apply`; they run through their subclasses in `models` (`Psa`,
-    `SeScale`), which add it.
+    A composite's `apply` runs its children through `_chain`. `PsaParams`
+    runs through its subclass `models.Psa`, which adds `apply`;
+    `models.SeScale` replaces `SeWeightParams.apply` with a rescale.
 
     Parameter names are dotted paths, unique within a network. Every
     change to a parameter or running statistic rebinds it (nothing in this
@@ -238,6 +243,41 @@ class Layer:
 
     def complexity(self, in_shape) -> tuple[tuple, list[LayerRow]]:
         return _ledger(self.children(), in_shape)
+
+
+@contextmanager
+def _located(name: str, phase: str):
+    """Prefix a NonFiniteError's layer path with name; keep an inner phase."""
+    try:
+        yield
+    except NonFiniteError as err:
+        err.layer = name if err.layer is None else f"{name}.{err.layer}"
+        err.phase = err.phase or phase
+        raise
+
+
+def _chain(layers, x: Tensor, training: bool):
+    """Run (name, layer) pairs in order; the vjp (None in eval) names each gradient and checks each dx."""
+    vjps = []
+    for name, layer in layers:
+        with _located(name, "forward"):
+            x, vjp = layer.apply(x, training)
+        if training:
+            vjps.append((name, vjp))
+    if not training:
+        return x, None
+
+    def vjp(dy):
+        grads: dict[str, np.ndarray] = {}
+        for name, v in reversed(vjps):
+            with _located(name, "backward"):
+                dy, g = v(dy)
+                if not _all_finite(dy):
+                    raise NonFiniteError("gradient has NaN or Inf")
+            grads.update({f"{name}.{k}": a for k, a in g.items()})
+        return dy, grads
+
+    return x, vjp
 
 
 @dataclass(eq=False)
@@ -401,6 +441,40 @@ class BatchNormParams(Layer):
 
     def complexity(self, in_shape):
         return in_shape, [LayerRow("", self.param_count, 0, in_shape)]
+
+
+class ReLU(Layer):
+    def apply(self, x: Tensor, training: bool) -> GradPair:
+        return relu(x)
+
+
+class Sigmoid(Layer):
+    def apply(self, x: Tensor, training: bool) -> GradPair:
+        return sigmoid(x)
+
+
+class MaxPool(Layer):
+    def __init__(self, kernel=3, stride=2, padding=1):
+        self.kernel, self.stride, self.padding = kernel, stride, padding
+
+    def apply(self, x: Tensor, training: bool) -> GradPair:
+        return max_pool(x, self.kernel, self.stride, self.padding)
+
+    def complexity(self, in_shape):
+        n, c, h, w = in_shape
+        ho = conv_output_size(h, self.kernel, self.stride, self.padding)
+        wo = conv_output_size(w, self.kernel, self.stride, self.padding)
+        out_shape = (n, c, ho, wo)
+        return out_shape, [LayerRow("", 0, 0, out_shape)]
+
+
+class GlobalAvgPool(Layer):
+    def apply(self, x: Tensor, training: bool) -> GradPair:
+        return global_avg_pool(x)
+
+    def complexity(self, in_shape):
+        out_shape = (*in_shape[:2], 1, 1)
+        return out_shape, [LayerRow("", 0, 0, out_shape)]
 
 
 @dataclass

@@ -8,6 +8,10 @@ map into per-channel logits; a softmax across the scale axis at every
 (sample, channel) position converts them into competing attention weights
 (N, S, C', 1, 1); and one broadcast product rescales every branch map,
 which read as (N, S*C', H, W) is the concatenation back to C channels.
+
+Every part runs as a named `ops._chain` child: each branch conv, the
+weighter as "se", and inside the weighter its five ops, so gradients are
+keyed and a NaN or Inf is located by the same names as the ledger rows.
 """
 
 from __future__ import annotations
@@ -19,18 +23,21 @@ import numpy as np
 
 from .ops import (
     Conv2dParams,
+    GlobalAvgPool,
     GradPair,
     Layer,
     LayerRow,
     LinearParams,
+    ReLU,
+    Sigmoid,
+    _chain,
     _ledger,
     _rng,
     _softmax_over_scales_vjp,
     conv2d,
-    global_avg_pool,
+    # perfbench's tracer and tests look up conv2d, linear, relu and _se_weight_grad here
     linear,
     relu,
-    sigmoid,
     softmax_over_scales,
 )
 from .tensor import Tensor, _wrap
@@ -141,12 +148,15 @@ class PsaConfig:
         )
 
 
+_GAP, _RELU, _SIGMOID = GlobalAvgPool(), ReLU(), Sigmoid()
+
+
 @dataclass(eq=False)
 class SeWeightParams(Layer):
     """Squeeze-excitation weighter: GAP -> fc0 -> ReLU -> fc1 -> sigmoid.
 
-    A composite of its two FCs. PSA's FCs have biases; SENet's SE layer uses
-    the same weighter without.
+    A chain of those five children; the FCs hold its parameters. PSA's FCs
+    have biases; SENet's SE layer uses the same weighter without.
     """
 
     fc0: LinearParams
@@ -165,11 +175,14 @@ class SeWeightParams(Layer):
         )
 
     def children(self):
-        return [("fc0", self.fc0), ("fc1", self.fc1)]
+        return [("gap", _GAP), ("fc0", self.fc0), ("relu", _RELU), ("fc1", self.fc1), ("sigmoid", _SIGMOID)]
+
+    def apply(self, x: Tensor, training: bool) -> GradPair:
+        return _se_weight_grad(x, self)
 
     def complexity(self, in_shape):
-        """(N, C, H, W) to its weights (N, C, 1, 1); one row for both FCs."""
-        shape, rows = _ledger(self.children(), (*in_shape[:2], 1, 1))
+        """(N, C, H, W) to its weights (N, C, 1, 1); one row for the chain."""
+        shape, rows = _ledger(self.children(), in_shape)
         return shape, [LayerRow("", self.param_count, sum(r.flops for r in rows), shape)]
 
 
@@ -211,22 +224,7 @@ class PsaParams(Layer):
 
 
 def _se_weight_grad(x: Tensor, p: SeWeightParams) -> GradPair:
-    gpp = global_avg_pool(x)
-    gp0 = linear(gpp.output, p.fc0)
-    gpr = relu(gp0.output)
-    gp1 = linear(gpr.output, p.fc1)
-    gps = sigmoid(gp1.output)
-
-    def backward(dy: np.ndarray):
-        d, _ = gps.backward(dy)
-        d, g1 = gp1.backward(d)
-        d, _ = gpr.backward(d)
-        d, g0 = gp0.backward(d)
-        grads = {f"fc0.{k}": v for k, v in g0.items()}
-        grads.update({f"fc1.{k}": v for k, v in g1.items()})
-        return gpp.backward(d)[0], grads
-
-    return GradPair(gps.output, backward)
+    return GradPair(*_chain(p.children(), x, True))
 
 
 def se_weight(x: Tensor, p: SeWeightParams) -> Tensor:
@@ -247,20 +245,21 @@ def psa_with_grad(x: Tensor, p: PsaParams) -> GradPair:
     One pass over the scale axis (module docstring), with the SE weighter
     seeing the stack as N*S maps of C' channels. The backward mirrors it:
     one SE backward, one softmax VJP, one conv VJP per branch. Parameter
-    gradients are keyed "branch{i}.weight" and "se.fc0/fc1.weight/bias";
-    the shared SE weighter's gradients sum over all scales.
+    gradients are keyed "branch{i}.weight" and "se.fc0/fc1.weight/bias" by
+    the chain each part runs in; the shared SE weighter's gradients sum
+    over all scales.
     """
     if x.c != p.config.channels:
         raise ValueError(f"input has {x.c} channels, config expects {p.config.channels}")
     n, s, cp = x.n, p.config.scales, p.config.branch_channels
 
-    convs = [conv2d(x, c) for c in p.branch_convs]
-    conv_vjps = [gp.backward for gp in convs]
-    feats = np.stack([gp.output.data for gp in convs], axis=1)  # (N, S, C', H, W)
-    del convs  # the stack replaces the branch maps
+    branches = [_chain([(f"branch{i}", c)], x, True) for i, c in enumerate(p.branch_convs)]
+    branch_vjps = [vjp for _, vjp in branches]
+    feats = np.stack([y.data for y, _ in branches], axis=1)  # (N, S, C', H, W)
+    del branches  # the stack replaces the branch maps
     hw = feats.shape[3:]
-    se = _se_weight_grad(_wrap(feats.reshape(n * s, cp, *hw)), p.se)
-    att = softmax_over_scales(se.output.data.reshape(n, s, cp, 1, 1))
+    w, se_vjp = _chain([("se", p.se)], _wrap(feats.reshape(n * s, cp, *hw)), True)
+    att = softmax_over_scales(w.data.reshape(n, s, cp, 1, 1))
     out = _wrap((feats * att).reshape(n, s * cp, *hw))
     out_shape = out.shape  # the closure holds neither the output nor x
 
@@ -271,14 +270,13 @@ def psa_with_grad(x: Tensor, p: PsaParams) -> GradPair:
         # product rule through y = feats * att
         datt = (d * feats).sum(axis=(3, 4), keepdims=True)
         dlogits = _softmax_over_scales_vjp(att, datt)
-        dfeats_se, se_grads = se.backward(dlogits.reshape(n * s, cp, 1, 1))
+        dfeats_se, grads = se_vjp(dlogits.reshape(n * s, cp, 1, 1))
         dfeats = d * att + dfeats_se.reshape(feats.shape)
 
-        grads = {f"se.{k}": v for k, v in se_grads.items()}
         dx = 0.0
-        for i, vjp in enumerate(conv_vjps):
-            dxi, conv_g = vjp(dfeats[:, i])
-            grads[f"branch{i}.weight"] = conv_g["weight"]
+        for i, vjp in enumerate(branch_vjps):
+            dxi, g = vjp(dfeats[:, i])
+            grads.update(g)
             dx = dx + dxi
         return dx, grads
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from epsakit import models, ops, psa, training
+from epsakit import models, ops, training
 from epsakit.cli import main
 from epsakit.gradcheck import TOLERANCE, report_text
 from epsakit.models import build_from_config, config_to_spec
@@ -73,8 +73,13 @@ class TestDescribe:
         lambda c: c["stages"][0]["psa"].update(kernels=5),
         lambda c: c["stages"][0].update(psa=[1]),
         lambda c: c["stages"][0].update(repeats=2.7),
+        lambda c: c.update(num_clases=7),
+        lambda c: c["stages"][0].update(out_chanels=128),
+        lambda c: c["stages"][0]["psa"].update(kernel=3),
+        lambda c: c["stages"][0].update(kind="resnet"),
     ], ids=["psa_group_0", "se_reduction_0", "mid_channels_0", "repeats_-2", "top_level_list",
-            "stages_number", "psa_kernels_number", "psa_list", "repeats_float"])
+            "stages_number", "psa_kernels_number", "psa_list", "repeats_float", "unknown_field",
+            "unknown_stage_field", "unknown_psa_field", "psa_on_resnet"])
     def test_malformed_config_exit_2(self, capsys, tmp_path, edit):
         cfg = {
             "name": "custom", "num_classes": 7, "stem_channels": 32,
@@ -158,14 +163,14 @@ class TestGradcheck:
         assert json.loads(out) == want and all(r["passed"] for r in want)
 
     def test_corrupted_backward_nonzero_exit(self, capsys, monkeypatch):
-        # psa looks the op up under its own name
-        sigmoid = psa.sigmoid
+        # the SE weighter's Sigmoid layer looks the op up in ops
+        sigmoid = ops.sigmoid
 
         def wrong(x):
             y, vjp = sigmoid(x)
             return ops.GradPair(y, lambda dy: (-vjp(dy)[0], {}))
 
-        monkeypatch.setattr(psa, "sigmoid", wrong)
+        monkeypatch.setattr(ops, "sigmoid", wrong)
         code, out, _ = run(capsys, "gradcheck", "psa")
         assert code == 3
         assert "FAIL" in out

@@ -238,6 +238,30 @@ class TestConfigSchema:
         with pytest.raises(ValueError, match=f"'{field}'"):
             config_to_spec(cfg)
 
+    @pytest.mark.parametrize("where, field, edit", [
+        ("model config", "num_clases", lambda c: c.update(num_clases=7)),
+        ("stage", "out_chanels", lambda c: c["stages"][0].update(out_chanels=128)),
+        ("psa", "kernel", lambda c: c["stages"][0]["psa"].update(kernel=3)),
+        ("psa", "stride", lambda c: c["stages"][0]["psa"].update(stride=2)),
+    ], ids=["num_clases", "out_chanels", "psa_kernel", "psa_stride"])
+    def test_unknown_field_is_refused_by_name(self, where, field, edit):
+        cfg = {
+            "name": "custom", "num_classes": 7, "stem_channels": 32,
+            "stages": [{"repeats": 1, "mid_channels": 32, "kind": "epsa", "out_channels": 128,
+                        "psa": {"scales": 4, "kernels": [3, 5, 7, 9], "groups": [1, 4, 8, 8]}}],
+        }
+        config_to_spec(cfg)
+        edit(cfg)
+        with pytest.raises(ValueError, match=f"unknown {where} field '{field}'"):
+            config_to_spec(cfg)
+
+    @pytest.mark.parametrize("kind", ["resnet", "se"])
+    def test_psa_on_a_stage_that_is_not_epsa_is_refused(self, kind):
+        psa = {"scales": 4, "kernels": [3, 5, 7, 9], "groups": [1, 4, 8, 8]}
+        cfg = {"stages": [{"repeats": 1, "mid_channels": 32, "kind": kind, "psa": psa}]}
+        with pytest.raises(ValueError, match="psa"):
+            config_to_spec(cfg)
+
 
 class TestAblation:
     def test_three_rows_kernels(self):
@@ -451,4 +475,70 @@ class TestNonFiniteNaming:
             net.set_param(se + name, np.full_like(params[se + name], 1e308))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
             net.apply(random_uniform((2, 3, 32, 32), seed=0))
-        assert (info.value.layer, info.value.phase) == ("layer1.0.conv2", "forward")
+        assert (info.value.layer, info.value.phase) == ("layer1.0.conv2.se.fc1", "forward")
+
+    @pytest.mark.parametrize("phase", ["forward", "backward"])
+    @pytest.mark.parametrize("build", [
+        lambda: build_toy_epsanet(num_classes=4, **defaults.TOY_MODEL),
+        lambda: build_from_config({"name": "se1", "num_classes": 3, "stem_channels": 16, "stages": [
+            {"repeats": 1, "mid_channels": 8, "kind": "se", "se_reduction": 4}]}),
+    ], ids=["epsa_toy", "se_one_stage"])
+    def test_every_ledger_row_fails_under_its_own_name(self, build, phase):
+        """Each complexity row's layer in turn raises NonFiniteError in one
+        pass; the error must name that row, so every row runs as a child."""
+        net = build().net
+        x = random_uniform((2, 3, 32, 32), seed=0)
+        _, rows = net.complexity(x.shape)
+        named = []
+        for row in rows:
+            layer = _resolve(net, row.name)
+            layer.apply = _failing(layer.apply, phase)
+            try:
+                with pytest.raises(NonFiniteError) as info:
+                    logits, vjp = net.apply(x, training=True)
+                    vjp(np.ones_like(logits))
+            finally:
+                del layer.apply
+            named.append((info.value.layer, info.value.phase))
+        assert named == [(row.name, phase) for row in rows]
+
+
+def _resolve(layer, name: str):
+    """The layer at dotted name below layer, found down children()."""
+    for cname, child in layer.children():
+        if name == cname:
+            return child
+        if name.startswith(cname + "."):
+            return _resolve(child, name[len(cname) + 1:])
+    raise KeyError(name)
+
+
+def _failing(apply, phase: str):
+    """apply, made to raise NonFiniteError in its forward or in its vjp."""
+    def failing(x, training):
+        if phase == "forward":
+            raise NonFiniteError("injected")
+        y, _ = apply(x, training)
+
+        def vjp(dy):
+            raise NonFiniteError("injected")
+
+        return y, vjp
+
+    return failing
+
+
+def _composites(layer, path="network"):
+    """(path, layer) for every layer below and including layer that has children."""
+    if layer.children():
+        yield path, layer
+    for name, child in layer.children():
+        yield from _composites(child, f"{path}.{name}")
+
+
+@pytest.mark.parametrize("name", models.MODEL_NAMES + ("toy",))
+def test_child_names_are_distinct_in_every_composite(name):
+    net = (build_toy_epsanet() if name == "toy" else build_model(name)).net
+    for path, layer in _composites(net):
+        names = [n for n, _ in layer.children()]
+        assert len(names) == len(set(names)), f"{path} repeats a child name: {names}"
