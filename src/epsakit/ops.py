@@ -64,7 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import NonFiniteError, Tensor, _all_finite, _wrap
+from .tensor import NonFiniteError, Tensor, _admit, _all_finite, _wrap
 
 __all__ = [
     "Layer",
@@ -135,19 +135,8 @@ def _checked(root: "Layer", name: str, value: np.ndarray, state: bool):
         raise KeyError(name)
     owner, attr = slot
     old = getattr(owner, attr)
-    value = np.asarray(value)
-    if value.dtype.kind not in "fiu":
-        raise ValueError(f"{name}: dtype {value.dtype} is not real floating or integer")
-    value = np.array(value, dtype=np.float64)
-    if value.shape != old.shape:
-        raise ValueError(f"{name}: shape {value.shape} != {old.shape}")
-    if not _all_finite(value):
-        err = NonFiniteError(f"{name} has NaN or Inf")
-        err.layer = name
-        raise err
-    if attr == "running_var" and np.any(value < 0):
-        raise ValueError(f"{name}: running_var must be non-negative")
-    return owner, attr, _wrap(value) if isinstance(old, Tensor) else value
+    value = _admit(name, np.array(value), old.shape)
+    return owner, attr, Tensor(None, _trusted=value) if isinstance(old, Tensor) else value
 
 
 class Layer:
@@ -227,12 +216,13 @@ class Layer:
 
     def assign(self, values: dict[str, np.ndarray]) -> None:
         """Rebind parameters and running statistics, {dotted name: value},
-        each to a float64 copy, a Tensor where the old value was one. Every
-        entry is checked before any is bound, so a refused call changes
-        nothing: an unknown name is a KeyError (with the whole name); a
-        dtype that is not real floating or integer, a changed shape or a
-        negative running_var a ValueError; NaN or Inf a NonFiniteError
-        naming the entry as its `layer`."""
+        each to a float64 copy, a Tensor where the old value was one. Each
+        copy is admitted by `tensor._admit`, the rule the constructors use,
+        with the old value's shape. Every entry is checked before any is
+        bound, so a refused call changes nothing: an unknown name is a
+        KeyError (with the whole name); a dtype that is not real floating or
+        integer, a changed shape or a negative running_var a ValueError; NaN
+        or Inf a NonFiniteError naming the entry as its `layer`."""
         checked = [_checked(self, name, value, state=True) for name, value in values.items()]
         for owner, attr, value in checked:
             setattr(owner, attr, value)
@@ -285,7 +275,9 @@ class Conv2dParams(Layer):
     """Grouped 2-D convolution, a leaf layer.
 
     weight is (out_channels, in_channels // groups, k, k); output group g
-    reads only input group g.
+    reads only input group g. The constructor admits weight and bias by
+    `tensor._admit`, naming the slot: a Tensor weight is bound as it is, an
+    array is wrapped, and a float64 array is kept without a copy.
     """
 
     in_channels: int
@@ -294,7 +286,7 @@ class Conv2dParams(Layer):
     stride: int = 1
     padding: int = 0
     groups: int = 1
-    weight: Tensor | None = None
+    weight: Tensor | np.ndarray | None = None
     bias: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -308,12 +300,11 @@ class Conv2dParams(Layer):
                 f"not divisible by groups {self.groups}"
             )
         wshape = (self.out_channels, self.in_channels // self.groups, self.kernel, self.kernel)
-        if self.weight is None:
-            self.weight = _wrap(np.zeros(wshape))
-        elif self.weight.shape != wshape:
-            raise ValueError(f"weight shape {self.weight.shape} != expected {wshape}")
-        if self.bias is not None and self.bias.shape != (self.out_channels,):
-            raise ValueError(f"bias length {self.bias.shape} != {self.out_channels}")
+        w = np.zeros(wshape) if self.weight is None else self.weight
+        a = _admit("weight", w, wshape)
+        self.weight = w if isinstance(w, Tensor) else Tensor(None, _trusted=a)
+        if self.bias is not None:
+            self.bias = _admit("bias", self.bias, (self.out_channels,))
 
     @classmethod
     def init(
@@ -331,7 +322,7 @@ class Conv2dParams(Layer):
         fan_in = (in_channels // groups) * kernel * kernel
         w = fanin_uniform((out_channels, in_channels // groups, kernel, kernel), fan_in, rng)
         b = np.zeros(out_channels) if bias else None
-        return cls(in_channels, out_channels, kernel, stride, padding, groups, _wrap(w), b)
+        return cls(in_channels, out_channels, kernel, stride, padding, groups, w, b)
 
     def slots(self):
         return _weight_bias(self)
@@ -351,16 +342,17 @@ class Conv2dParams(Layer):
 @dataclass(eq=False)
 class LinearParams(Layer):
     """Affine map, a leaf layer: weight (out_features, in_features), optional
-    bias. It maps a (N, C, 1, 1) tensor; its vjp also takes a (N, out) array."""
+    bias. It maps a (N, C, 1, 1) tensor; its vjp also takes a (N, out) array.
+    The constructor admits both by `tensor._admit`, naming the slot, and
+    keeps a float64 array without a copy."""
 
     weight: np.ndarray
     bias: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.weight.ndim != 2:
-            raise ValueError(f"linear weight must be 2-D, got {self.weight.shape}")
-        if self.bias is not None and self.bias.shape != (self.weight.shape[0],):
-            raise ValueError(f"bias shape {self.bias.shape} != ({self.weight.shape[0]},)")
+        self.weight = _admit("weight", self.weight, (None, None))
+        if self.bias is not None:
+            self.bias = _admit("bias", self.bias, self.weight.shape[:1])
 
     @classmethod
     def init(
@@ -405,7 +397,9 @@ class BatchNormParams(Layer):
     parameters, running_mean and running_var its state.
 
     Training mode rebinds running_mean/running_var, so a parameter set
-    being trained must not be shared across concurrent callers.
+    being trained must not be shared across concurrent callers. The
+    constructor admits all four by `tensor._admit`, naming the slot, and
+    keeps a float64 array without a copy.
     """
 
     gamma: np.ndarray
@@ -414,12 +408,9 @@ class BatchNormParams(Layer):
     running_var: np.ndarray
 
     def __post_init__(self) -> None:
-        c = self.gamma.shape[0]
+        self.gamma = _admit("gamma", self.gamma, (None,))
         for name in ("beta", "running_mean", "running_var"):
-            if getattr(self, name).shape != (c,):
-                raise ValueError(f"batch-norm field {name} has wrong length")
-        if np.any(self.running_var < 0):
-            raise ValueError("running_var must be non-negative")
+            setattr(self, name, _admit(name, getattr(self, name), self.gamma.shape))
 
     @classmethod
     def init(cls, channels: int) -> "BatchNormParams":
@@ -726,11 +717,10 @@ def softmax_over_scales(z: np.ndarray) -> np.ndarray:
     """Softmax across axis 1 of a (N, S, C', 1, 1) stack of scale logits.
 
     Computed with max subtraction; per (n, c') position the S outputs are
-    positive and sum to 1.
+    positive and sum to 1. z is admitted by `tensor._admit` as any 5-D
+    array: a non-real dtype is a ValueError, NaN or Inf a NonFiniteError.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 5:
-        raise ValueError(f"expected (N, S, C', 1, 1), got shape {z.shape}")
+    z = _admit("scale logits", z, (None,) * 5)
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
     return e / e.sum(axis=1, keepdims=True)

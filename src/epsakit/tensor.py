@@ -1,12 +1,19 @@
 """Dense 4-D float64 tensors in (N, C, H, W) layout.
 
 `Tensor` is the forward value every op takes and returns. Its backing
-array is flagged read-only, so an accidental in-place edit fails loudly,
-and constructing one from non-finite data raises `NonFiniteError`.
+array is flagged read-only, so an accidental in-place edit fails loudly.
 `_wrap` is how the ops wrap a freshly computed array: it keeps the
 finiteness check, which is where NaN or Inf is first caught, but skips
 the copy. `random_uniform` builds a tensor of a given shape
 deterministically from a seed.
+
+Every array handed in from outside passes one rule, `_admit`, in
+`Tensor(data)`, the parameter-set constructors, `Layer.assign` and
+`softmax_over_scales`. It takes a real floating or integer dtype only,
+casts to C-contiguous float64, requires the expected shape and refuses
+NaN or Inf (a `NonFiniteError` naming the entry) and a negative running
+variance. It copies only to cast; a caller that must own its array
+copies first.
 
 Every finiteness guard in the package, on forward values, gradients,
 parameters, updates and checkpoint entries, goes through `_all_finite`.
@@ -40,7 +47,12 @@ class NonFiniteError(ValueError):
 
 
 class Tensor:
-    """Immutable 4-D float64 array in row-major (N, C, H, W) order."""
+    """Immutable 4-D float64 array in row-major (N, C, H, W) order.
+
+    `Tensor(data)` copies data, then admits it by `_admit`: complex, bool,
+    string or object data is a ValueError naming the dtype, integer data is
+    cast, NaN or Inf is a NonFiniteError. Every dimension must be positive.
+    """
 
     __slots__ = ("_data",)
 
@@ -49,13 +61,9 @@ class Tensor:
             # Freeze a view so the caller's own array keeps its flags.
             arr = _trusted.view()
         else:
-            arr = np.array(data, dtype=np.float64, order="C")
-            if arr.ndim != 4:
-                raise ValueError(f"tensor data must be 4-D, got ndim={arr.ndim}")
+            arr = _admit("tensor data", np.array(data, order="C"), (None,) * 4)
             if min(arr.shape) <= 0:
                 raise ValueError(f"tensor dimensions must be positive, got {arr.shape}")
-            if not _all_finite(arr):
-                raise NonFiniteError("tensor data contains NaN or Inf")
         arr.setflags(write=False)
         self._data = arr
 
@@ -100,6 +108,28 @@ def _all_finite(a: np.ndarray) -> bool:
             if math.isfinite(flat @ flat):
                 return True
     return bool(np.isfinite(a).all())
+
+
+def _admit(name: str, value, shape: tuple) -> np.ndarray:
+    """The one rule for an array handed in to be held: value as C-contiguous
+    float64 (a copy only to cast) of shape, where None matches any length.
+    A dtype that is not real floating or integer, another shape or a
+    negative running_var is a ValueError; NaN or Inf a NonFiniteError with
+    `layer` name. A Tensor's data passed this rule or `_wrap` when the Tensor
+    was built, so it is not scanned again."""
+    a = value.data if isinstance(value, Tensor) else np.asarray(value)
+    if a.dtype.kind not in "fiu":
+        raise ValueError(f"{name}: dtype {a.dtype} is not real floating or integer")
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if len(a.shape) != len(shape) or any(e not in (None, d) for d, e in zip(a.shape, shape)):
+        raise ValueError(f"{name}: shape {a.shape} != {shape}")
+    if not (isinstance(value, Tensor) or _all_finite(a)):
+        err = NonFiniteError(f"{name} has NaN or Inf")
+        err.layer = name
+        raise err
+    if name.rsplit(".", 1)[-1] == "running_var" and np.any(a < 0):
+        raise ValueError(f"{name}: running_var must be non-negative")
+    return a
 
 
 def _wrap(arr: np.ndarray) -> Tensor:

@@ -104,6 +104,99 @@ class TestConv2d:
         np.testing.assert_allclose(grads["weight"], ref_dw, rtol=0, atol=1e-12)
 
 
+class TestConfigRefused:
+    @pytest.mark.parametrize("kwargs", [
+        dict(kernel=2), dict(kernel=0), dict(kernel=-3),
+        dict(stride=0), dict(stride=-1),
+        dict(padding=-1),
+        dict(groups=0), dict(groups=-2),
+        dict(in_channels=6, groups=4), dict(out_channels=6, groups=4),
+    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_conv2d_params_refuses_bad_config(self, kwargs):
+        args = dict(in_channels=4, out_channels=8, kernel=3) | kwargs
+        with pytest.raises(ValueError):
+            Conv2dParams(**args)
+
+
+def _leaves():
+    """name -> (build from {slot: array}, the slots with their valid values)."""
+    return {
+        "conv": (lambda a: Conv2dParams(2, 3, 3, weight=a["weight"], bias=a["bias"]),
+                 {"weight": np.ones((3, 2, 3, 3)), "bias": np.zeros(3)}),
+        "linear": (lambda a: LinearParams(a["weight"], a["bias"]),
+                   {"weight": np.ones((3, 2)), "bias": np.zeros(3)}),
+        "batch_norm": (lambda a: BatchNormParams(**a),
+                       {"gamma": np.ones(3), "beta": np.zeros(3),
+                        "running_mean": np.zeros(3), "running_var": np.ones(3)}),
+    }
+
+
+LEAF_SLOTS = [(leaf, slot) for leaf, (_, slots) in _leaves().items() for slot in slots]
+
+
+class TestLeafAdmission:
+    """Each leaf constructor admits its arrays by the package's one rule,
+    naming the slot."""
+
+    @pytest.mark.parametrize("leaf, slot", LEAF_SLOTS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_refuses_non_finite(self, leaf, slot, bad):
+        build, arrays = _leaves()[leaf]
+        arrays[slot].flat[-1] = bad
+        with pytest.raises(NonFiniteError) as err:
+            build(arrays)
+        assert err.value.layer == slot
+
+    @pytest.mark.parametrize("leaf, slot", LEAF_SLOTS)
+    @pytest.mark.parametrize("kind", [complex, bool, object])
+    def test_refuses_non_real_dtype(self, leaf, slot, kind):
+        build, arrays = _leaves()[leaf]
+        arrays[slot] = arrays[slot].astype(kind)
+        with pytest.raises(ValueError, match=f"^{slot}: dtype"):
+            build(arrays)
+
+    @pytest.mark.parametrize("leaf, slot", LEAF_SLOTS)
+    def test_refuses_a_wrong_shape(self, leaf, slot):
+        build, arrays = _leaves()[leaf]
+        arrays[slot] = np.ones(arrays[slot].shape + (1,))
+        with pytest.raises(ValueError, match=f"^{slot}: shape"):
+            build(arrays)
+
+    def test_refuses_a_conv_weight_tensor_of_the_wrong_shape_by_its_shape(self):
+        with pytest.raises(ValueError, match="^weight: shape"):
+            Conv2dParams(2, 3, 3, weight=Tensor(np.ones((3, 2, 1, 1))))
+
+    def test_refuses_a_negative_running_var(self):
+        build, arrays = _leaves()["batch_norm"]
+        arrays["running_var"][1] = -1e-3
+        with pytest.raises(ValueError, match="^running_var: running_var must be non-negative"):
+            build(arrays)
+
+    @pytest.mark.parametrize("leaf", list(_leaves()))
+    def test_casts_integers_and_keeps_float64_arrays_without_a_copy(self, leaf):
+        build, arrays = _leaves()[leaf]
+        ints = {slot: a.astype(np.int64) for slot, a in arrays.items()}
+        for slot, v in build(ints).params().items():
+            assert v.dtype == np.float64 and np.array_equal(v, arrays[slot])
+        layer = build(arrays)
+        for slot in layer.slots() + layer.state_slots():
+            held = getattr(layer, slot)
+            assert np.shares_memory(held.data if isinstance(held, Tensor) else held, arrays[slot])
+
+    def test_conv_with_an_ndarray_weight_runs_as_with_a_tensor(self, rng):
+        w = rng.standard_normal((6, 2, 3, 3))
+        x = Tensor(rng.standard_normal((2, 4, 5, 5)))
+        from_array = Conv2dParams(4, 6, 3, padding=1, groups=2, weight=w)
+        from_tensor = Conv2dParams(4, 6, 3, padding=1, groups=2, weight=Tensor(w))
+        assert isinstance(from_array.weight, Tensor)
+        assert np.array_equal(ops.conv2d(x, from_array).output.data,
+                              ops.conv2d(x, from_tensor).output.data)
+
+    def test_binds_a_conv_weight_tensor_as_it_is(self):
+        w = Tensor(np.ones((3, 2, 3, 3)))
+        assert Conv2dParams(2, 3, 3, weight=w).weight is w
+
+
 class TestGlobalAvgPool:
     def test_constant(self):
         x = Tensor(np.full((2, 3, 5, 5), 7.5))
@@ -206,6 +299,22 @@ class TestSoftmaxOverScales:
         z[0, 0] = 1000.0
         att = ops.softmax_over_scales(z)
         assert np.all(np.isfinite(att))
+
+    @pytest.mark.parametrize("z", [np.full((1, 2, 1, 1, 1), 1j), np.ones((1, 2, 1, 1, 1), dtype=bool)],
+                             ids=["complex", "bool"])
+    def test_refuses_non_real_logits(self, z):
+        with pytest.raises(ValueError, match="dtype"):
+            ops.softmax_over_scales(z)
+
+    def test_refuses_a_nan_logit(self):
+        z = np.zeros((1, 2, 1, 1, 1))
+        z[0, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            ops.softmax_over_scales(z)
+
+    def test_refuses_a_logit_stack_that_is_not_5d(self):
+        with pytest.raises(ValueError, match="shape"):
+            ops.softmax_over_scales(np.zeros((2, 4, 3)))
 
 
 class TestBatchNorm:

@@ -48,6 +48,31 @@ class TestConstruction:
         assert issubclass(tc.NonFiniteError, ValueError)
 
 
+class TestAdmission:
+    """`Tensor(data)` admits its copy by the package's one rule, `_admit`."""
+
+    @pytest.mark.parametrize("data, dtype", [
+        (np.full((1, 1, 2, 2), 1 + 2j), "complex128"),
+        (np.ones((1, 1, 2, 2), dtype=bool), "bool"),
+        ([[[["1", "2"]]]], "<U1"),
+        (np.full((1, 1, 1, 2), None), "object"),
+    ], ids=["complex", "bool", "str", "object"])
+    def test_refuses_non_real_data_naming_the_dtype(self, data, dtype):
+        with pytest.raises(ValueError, match=f"dtype {dtype} is not real") as err:
+            Tensor(data)
+        assert not isinstance(err.value, tc.NonFiniteError)
+
+    def test_casts_integer_data(self):
+        t = Tensor(np.arange(4, dtype=np.int32).reshape(1, 1, 2, 2))
+        assert t.data.dtype == np.float64 and t.data.flags.c_contiguous
+        assert np.array_equal(t.data, np.arange(4.0).reshape(1, 1, 2, 2))
+
+    def test_admits_a_transposed_array_as_c_contiguous(self, rng):
+        a = rng.standard_normal((2, 3, 4, 5)).transpose(3, 2, 1, 0)
+        t = Tensor(a)
+        assert t.data.flags.c_contiguous and np.array_equal(t.data, a)
+
+
 class TestZeros:
     def test_size_arithmetic(self):
         t = Tensor(np.zeros((2, 3, 4, 4)))
