@@ -9,11 +9,10 @@ the input's, recorded as `name.input`, then that of each parameter in
 `keys`, recorded as `name.<key>`. A parameter is read through
 `layer.params()`, perturbed through `layer.set_param` and restored
 bitwise afterwards. Each check reports the max element-wise relative error
-(denominator clamped at 1e-8). Only the softmax across scales, which works
-on a raw 5-D array, is checked outside the routine. The ops and the leaf
-and parameter-free layers come from `ops`, `Psa` and the bottleneck blocks
-from `models`. Shared by the test suite and the `gradcheck` CLI
-subcommand.
+(denominator clamped at `ops.REL_ERROR_CLAMP`, 1e-8). The ops and the
+leaf and parameter-free layers, `ScaleSoftmax` among them, come from
+`ops`, `Psa` and the bottleneck blocks from `models`. Shared by the test
+suite and the `gradcheck` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -51,9 +50,10 @@ class _Suite:
     def _weights(self, shape) -> np.ndarray:
         return self.rng.uniform(0.5, 1.5, size=shape)
 
-    def _record(self, name: str, analytic, numeric) -> None:
-        err = ops.max_relative_error(analytic, numeric)
-        self.results.append(CheckResult(name, err))
+    def _compare(self, name: str, analytic: np.ndarray, f, at: np.ndarray) -> None:
+        """Record analytic against the central differences of f around at."""
+        numeric = ops.finite_difference_array(f, at, EPSILON)
+        self.results.append(CheckResult(name, ops.max_relative_error(analytic, numeric)))
 
     def check(self, name: str, apply, x: Tensor, layer: ops.Layer | None = None, keys=()) -> None:
         """Check the gradient of apply (Tensor -> (y, vjp)) at x with respect
@@ -66,8 +66,7 @@ class _Suite:
 
         w = self._weights(y.shape)
         dx, _ = vjp(w)
-        fd = ops.finite_difference_array(lambda a: objective(Tensor(a), w), x.data, EPSILON)
-        self._record(f"{name}.input", dx, fd)
+        self._compare(f"{name}.input", dx, lambda a: objective(Tensor(a), w), x.data)
         for key in keys:
             w = self._weights(y.shape)
             _, grads = vjp(w)
@@ -77,9 +76,8 @@ class _Suite:
                 layer.set_param(key, a)
                 return objective(x, w)
 
-            fd = ops.finite_difference_array(perturbed, original, EPSILON)
+            self._compare(f"{name}.{key}", grads[key], perturbed, original)
             layer.set_param(key, original)
-            self._record(f"{name}.{key}", grads[key], fd)
 
 
 def _rand_tensor(rng, shape, low=-1.0, high=1.0) -> Tensor:
@@ -127,17 +125,8 @@ def _check_ops(s: _Suite) -> None:
 
     s.check("global_avg_pool", ops.global_avg_pool, _rand_tensor(rng, (2, 4, 5, 5)))
 
-    # softmax across scales, checked on the raw 5-D array
-    z = rng.uniform(-2, 2, size=(2, 4, 3, 1, 1))
-    wz = s._weights(z.shape)
-
-    def f_sm(arr: np.ndarray) -> float:
-        return float((ops.softmax_over_scales(arr) * wz).sum())
-
-    att = ops.softmax_over_scales(z)
-    analytic = ops._softmax_over_scales_vjp(att, wz)
-    fd = ops.finite_difference_array(f_sm, z, EPSILON)
-    s._record("softmax_over_scales.input", analytic, fd)
+    # softmax across 4 scales of (N*S, C', 1, 1) logits, N = 2 and C' = 3
+    s.check("softmax_over_scales", _train(ops.ScaleSoftmax(4)), _rand_tensor(rng, (8, 3, 1, 1), -2, 2))
 
     # narrowing strided conv: the weight-first strategy at stride 2, both passes
     conv = ops.Conv2dParams.init(8, 2, 5, stride=2, padding=2, groups=2, seed=rng)

@@ -4,18 +4,19 @@ Networks are trees of `ops.Layer`s whose leaves are the parameter sets and
 the parameter-free layers of `ops`; `Psa` and `SeScale` are the `psa`
 parameter composites with an `apply` added or replaced. A composite
 (`Bottleneck`, `Network`) runs its children with `ops._chain`. In eval
-(`training` false) it returns vjp=None and keeps no closure, so each
-activation is freed once the next layer has read it. The chain checks each
-child's dx for NaN/Inf once. A NonFiniteError from either pass gets
-`layer`, the dotted name of the layer that failed, prefixed at each level
-it passes up, and `phase`, "forward" or "backward".
+(`training` false) it returns vjp=None and drops each child's vjp as the
+child returns, so a layer's input is freed before the next layer runs. The
+chain checks each child's dx for NaN/Inf once. A NonFiniteError from
+either pass gets `layer`, the dotted name of the layer that failed,
+prefixed at each level it passes up, and `phase`, "forward" or "backward".
 
 `Network.apply(x, training)` returns (logits, vjp), the training entry;
 `forward(model, x)` is the eval entry, returning the logits alone.
 
 PSA is a drop-in for the bottleneck's 3x3 conv: `Bottleneck` differs
 between ResNet and EPSANet only in the layer it puts at `conv2`. SENet's
-SE layer runs the same SE weighter (`psa.SeWeightParams`) as PSA, without biases.
+SE layer runs the same SE weighter (`psa.SeWeightParams`) as PSA, without
+biases, and reweights by the same product rule, `ops._rescale`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .ops import BatchNormParams, Conv2dParams, GlobalAvgPool, Layer, LayerRow, LinearParams, MaxPool, ReLU
-from .ops import _chain, _ledger, _rng
+from .ops import _chain, _ledger, _rescale, _rng
 from .psa import PsaConfig, PsaParams, SeWeightParams, _json, default_groups, psa_with_grad
 from .tensor import Tensor, _wrap
 
@@ -55,18 +56,11 @@ __all__ = [
 
 
 class SeScale(SeWeightParams):
-    """Squeeze-excitation recalibration x * se_weight(x): the SE weighter's
-    parameter set run as a scale. SENet builds it with bias-free FCs."""
+    """Squeeze-excitation recalibration x * se_weight(x) by `ops._rescale`,
+    the SE weighter gating its input. SENet builds it with bias-free FCs."""
 
     def apply(self, x: Tensor, training: bool):
-        gp = super().apply(x, training)
-        w = gp.output.data
-
-        def vjp(dy):
-            dx_se, grads = gp.backward((dy * x.data).sum(axis=(2, 3), keepdims=True))
-            return dy * w + dx_se, grads
-
-        return _wrap(x.data * w), vjp
+        return _rescale(x, super().apply, training)
 
     def complexity(self, in_shape):
         _, [row] = super().complexity(in_shape)

@@ -7,11 +7,11 @@ finite-difference oracle that also lives here.
 
 A parameter set is its leaf layer: `Conv2dParams`, `LinearParams` and
 `BatchNormParams` implement `Layer`, the one layer protocol, and `apply`
-runs their op. The parameter-free layers `ReLU`, `Sigmoid`, `MaxPool` and
-`GlobalAvgPool` live here too. The composites in `psa` and `models` are
-trees of them, and every composite runs its children with the one chain
-runner here, `_chain`, which keys each child's gradients by its name and
-checks each child's dx for NaN/Inf once.
+runs their op. The parameter-free layers `ReLU`, `Sigmoid`, `ScaleSoftmax`,
+`MaxPool` and `GlobalAvgPool` live here too. The composites in `psa` and
+`models` are trees of them, run by the one chain runner `_chain`, which
+keys each child's gradients by its name and checks each child's dx for
+NaN/Inf once, and reweighted by the one SE product rule `_rescale`.
 
 Forward values are `Tensor`s: read-only, and checked finite as each op
 wraps its output, so NaN or Inf raises `NonFiniteError` where it first
@@ -19,9 +19,8 @@ appears. That check, like every other finiteness guard in the package,
 is `tensor._all_finite`: one BLAS dot of the output with itself, exact.
 Gradients are plain float64 ndarrays: a backward takes dy with the
 output's shape and returns dx with the input's shape, unwrapped and
-unchecked (`_chain` checks each layer's dx once), and
-parameter gradients are ndarrays keyed by parameter name. A GradPair
-unpacks as (output, backward).
+unchecked, and parameter gradients are ndarrays keyed by parameter name.
+A GradPair unpacks as (output, backward).
 
 Every backward keeps nothing but the op's input, by reference (safe,
 because tensors are read-only), and its own output; anything else it
@@ -163,7 +162,7 @@ class Layer:
 
     A composite's `apply` runs its children through `_chain`. `PsaParams`
     runs through its subclass `models.Psa`, which adds `apply`;
-    `models.SeScale` replaces `SeWeightParams.apply` with a rescale.
+    `models.SeScale` replaces `SeWeightParams.apply` with `_rescale`.
 
     Parameter names are dotted paths, unique within a network. Every
     change to a parameter or running statistic rebinds it (nothing in this
@@ -254,6 +253,7 @@ def _chain(layers, x: Tensor, training: bool):
             x, vjp = layer.apply(x, training)
         if training:
             vjps.append((name, vjp))
+        del vjp  # in eval, the layer's input dies before the next child runs
     if not training:
         return x, None
 
@@ -268,6 +268,22 @@ def _chain(layers, x: Tensor, training: bool):
         return dy, grads
 
     return x, vjp
+
+
+def _rescale(x: Tensor, gate, training: bool):
+    """y = x * g, with g = gate(x, training) of shape (N, C, 1, 1): the SE
+    product rule. The vjp (None in eval) is dy*g plus the gate's vjp of
+    sum_hw dy*x."""
+    g, gate_vjp = gate(x, training)
+    y = _wrap(x.data * g.data)
+    if not training:
+        return y, None
+
+    def vjp(dy):
+        dx_gate, grads = gate_vjp((dy * x.data).sum(axis=(2, 3), keepdims=True))
+        return dy * g.data + dx_gate, grads
+
+    return y, vjp
 
 
 @dataclass(eq=False)
@@ -442,6 +458,25 @@ class ReLU(Layer):
 class Sigmoid(Layer):
     def apply(self, x: Tensor, training: bool) -> GradPair:
         return sigmoid(x)
+
+
+@dataclass(eq=False)
+class ScaleSoftmax(Layer):
+    """Softmax across the S scales of (N*S, C', H, W) logits read as (N, S,
+    C', H, W), max subtracted: the S weights are positive and sum to 1."""
+
+    scales: int
+
+    def apply(self, x: Tensor, training: bool) -> GradPair:
+        z = x.data.reshape(x.n // self.scales, self.scales, *x.shape[1:])
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        att = e / e.sum(axis=1, keepdims=True)
+
+        def backward(dy: np.ndarray):
+            d = dy.reshape(att.shape)
+            return (att * (d - (att * d).sum(axis=1, keepdims=True))).reshape(x.shape), {}
+
+        return GradPair(_wrap(att.reshape(x.shape)), backward)
 
 
 class MaxPool(Layer):
@@ -714,21 +749,13 @@ def sigmoid(x: Tensor) -> GradPair:
 
 
 def softmax_over_scales(z: np.ndarray) -> np.ndarray:
-    """Softmax across axis 1 of a (N, S, C', 1, 1) stack of scale logits.
-
-    Computed with max subtraction; per (n, c') position the S outputs are
-    positive and sum to 1. z is admitted by `tensor._admit` as any 5-D
-    array: a non-real dtype is a ValueError, NaN or Inf a NonFiniteError.
-    """
+    """`ScaleSoftmax` across axis 1 of (N, S, C', 1, 1) scale logits z, read-only
+    in z's shape. z is admitted by `tensor._admit` as any 5-D array: a
+    non-real dtype is a ValueError, NaN or Inf a NonFiniteError."""
     z = _admit("scale logits", z, (None,) * 5)
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _softmax_over_scales_vjp(att: np.ndarray, datt: np.ndarray) -> np.ndarray:
-    inner = (att * datt).sum(axis=1, keepdims=True)
-    return att * (datt - inner)
+    n, s = z.shape[:2]
+    att, _ = ScaleSoftmax(s).apply(Tensor(None, _trusted=z.reshape(n * s, *z.shape[2:])), False)
+    return att.data.reshape(z.shape)
 
 
 def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> GradPair:
@@ -843,9 +870,12 @@ def finite_difference_array(
     return grad
 
 
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, clamp: float = 1e-8) -> float:
-    """Element-wise |a - n| / max(|n|, clamp), reduced with max."""
+REL_ERROR_CLAMP = 1e-8
+
+
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Element-wise |a - n| / max(|n|, REL_ERROR_CLAMP = 1e-8), reduced with max."""
     if analytic.shape != numeric.shape:
         raise ValueError(f"shape mismatch {analytic.shape} vs {numeric.shape}")
-    denom = np.maximum(np.abs(numeric), clamp)
+    denom = np.maximum(np.abs(numeric), REL_ERROR_CLAMP)
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -2,16 +2,17 @@
 
 Pipeline: S parallel grouped convolutions with growing kernel sizes each
 squeeze the full C-channel input down to C' = C/S channels. The branch
-maps are stacked on a scale axis, (N, S, C', H, W). A shared
-squeeze-excitation weighter, run once over the stack, turns each branch
-map into per-channel logits; a softmax across the scale axis at every
-(sample, channel) position converts them into competing attention weights
-(N, S, C', 1, 1); and one broadcast product rescales every branch map,
-which read as (N, S*C', H, W) is the concatenation back to C channels.
+maps are stacked on a scale axis, (N, S, C', H, W), and read as N*S maps
+of C' channels. `ops._rescale` reweights that stack by its gate, a chain
+of two children: the shared squeeze-excitation weighter "se" turns each
+branch map into per-channel logits, and "softmax" (`ops.ScaleSoftmax`)
+makes them competing attention weights across the S scales at every
+(sample, channel) position. The product, read as (N, S*C', H, W), is the
+concatenation back to C channels.
 
-Every part runs as a named `ops._chain` child: each branch conv, the
-weighter as "se", and inside the weighter its five ops, so gradients are
-keyed and a NaN or Inf is located by the same names as the ledger rows.
+Every part runs as a named `ops._chain` child: each branch conv, "se" and
+"softmax", and inside the weighter its five ops, so gradients are keyed
+and a NaN or Inf is located by the same names as the ledger rows.
 """
 
 from __future__ import annotations
@@ -29,18 +30,18 @@ from .ops import (
     LayerRow,
     LinearParams,
     ReLU,
+    ScaleSoftmax,
     Sigmoid,
     _chain,
     _ledger,
+    _rescale,
     _rng,
-    _softmax_over_scales_vjp,
     conv2d,
     # perfbench's tracer and tests look up conv2d, linear, relu and _se_weight_grad here
     linear,
     relu,
-    softmax_over_scales,
 )
-from .tensor import Tensor, _wrap
+from .tensor import Tensor
 
 __all__ = [
     "PsaConfig",
@@ -234,45 +235,30 @@ def se_weight(x: Tensor, p: SeWeightParams) -> Tensor:
 
 def spc_forward(x: Tensor, p: PsaParams) -> list[Tensor]:
     """The S branch feature maps; every branch reads the whole input."""
-    if x.c != p.config.channels:
-        raise ValueError(f"input has {x.c} channels, config expects {p.config.channels}")
     return [conv2d(x, c).output for c in p.branch_convs]
 
 
 def psa_with_grad(x: Tensor, p: PsaParams) -> GradPair:
-    """Full PSA forward with a backward closure over input and parameters.
-
-    One pass over the scale axis (module docstring), with the SE weighter
-    seeing the stack as N*S maps of C' channels. The backward mirrors it:
-    one SE backward, one softmax VJP, one conv VJP per branch. Parameter
-    gradients are keyed "branch{i}.weight" and "se.fc0/fc1.weight/bias" by
-    the chain each part runs in; the shared SE weighter's gradients sum
-    over all scales.
-    """
-    if x.c != p.config.channels:
-        raise ValueError(f"input has {x.c} channels, config expects {p.config.channels}")
-    n, s, cp = x.n, p.config.scales, p.config.branch_channels
-
-    branches = [_chain([(f"branch{i}", c)], x, True) for i, c in enumerate(p.branch_convs)]
-    branch_vjps = [vjp for _, vjp in branches]
-    feats = np.stack([y.data for y, _ in branches], axis=1)  # (N, S, C', H, W)
-    del branches  # the stack replaces the branch maps
-    hw = feats.shape[3:]
-    w, se_vjp = _chain([("se", p.se)], _wrap(feats.reshape(n * s, cp, *hw)), True)
-    att = softmax_over_scales(w.data.reshape(n, s, cp, 1, 1))
-    out = _wrap((feats * att).reshape(n, s * cp, *hw))
+    """Full PSA forward with a backward closure over input and parameters,
+    built even for an eval forward: the branch convs, stacked, reweighted by
+    `_rescale` (module docstring). Gradients are keyed "branch{i}.weight" and
+    "se.fc0/fc1.weight/bias" by the chain each part runs in; the shared SE
+    weighter's gradients sum over all scales."""
+    ys, branch_vjps = zip(*[_chain([(f"branch{i}", c)], x, True) for i, c in enumerate(p.branch_convs)])
+    feats = np.stack([y.data for y in ys], axis=1)  # (N, S, C', H, W)
+    del ys  # the stack replaces the branch maps
+    shape = feats.shape
+    stack = Tensor(None, _trusted=feats.reshape(-1, *shape[2:]))  # each map was checked finite
+    gate = [("se", p.se), ("softmax", ScaleSoftmax(p.config.scales))]
+    y, rescale_vjp = _rescale(stack, lambda t, _: _chain(gate, t, True), True)
+    out = Tensor(None, _trusted=y.data.reshape(shape[0], -1, *shape[3:]))
     out_shape = out.shape  # the closure holds neither the output nor x
 
     def backward(dy: np.ndarray):
         if dy.shape != out_shape:
             raise ValueError(f"upstream gradient shape {dy.shape} != {out_shape}")
-        d = dy.reshape(feats.shape)
-        # product rule through y = feats * att
-        datt = (d * feats).sum(axis=(3, 4), keepdims=True)
-        dlogits = _softmax_over_scales_vjp(att, datt)
-        dfeats_se, grads = se_vjp(dlogits.reshape(n * s, cp, 1, 1))
-        dfeats = d * att + dfeats_se.reshape(feats.shape)
-
+        dfeats, grads = rescale_vjp(dy.reshape(-1, *shape[2:]))
+        dfeats = dfeats.reshape(shape)
         dx = 0.0
         for i, vjp in enumerate(branch_vjps):
             dxi, g = vjp(dfeats[:, i])

@@ -2,11 +2,12 @@
 
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from epsakit import defaults, models
+from epsakit import defaults, models, ops
 from epsakit.models import (
     BlockSpec,
     build_block,
@@ -453,6 +454,33 @@ class TestEvalKeepsNothing:
             tracemalloc.stop()
         assert peak <= 10 * largest
 
+    def test_eval_chain_frees_each_discarded_vjp(self):
+        """In eval the chain drops a child's vjp, and so what it holds,
+        before the next child runs."""
+        held = []
+
+        class Keeps(models.Layer):
+            def apply(self, x, training):
+                kept = np.ones(3)
+                held.append(weakref.ref(kept))
+                return x, lambda dy: (dy * kept.sum(), {})
+
+        class Probe(models.Layer):
+            def apply(self, x, training):
+                assert held[0]() is None, "the first child's vjp is still alive"
+                return x, None
+
+        models._chain([("keeps", Keeps()), ("probe", Probe())], random_uniform((1, 1, 1, 1), seed=0), False)
+        assert len(held) == 1
+
+    def test_se_scale_eval_returns_no_vjp(self):
+        se = models.SeScale.init(16, 4, seed=0, bias=False)
+        x = random_uniform((2, 16, 3, 3), seed=1)
+        y, vjp = se.apply(x, training=False)
+        assert vjp is None
+        y_train, _ = se.apply(x, training=True)
+        assert np.array_equal(y.data, y_train.data)
+
 
 class TestNonFiniteNaming:
     def test_forward_failure_names_the_layer(self):
@@ -476,6 +504,18 @@ class TestNonFiniteNaming:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
             net.apply(random_uniform((2, 3, 32, 32), seed=0))
         assert (info.value.layer, info.value.phase) == ("layer1.0.conv2.se.fc1", "forward")
+
+    def test_psa_attention_weights_are_a_chain_child(self, monkeypatch):
+        """PSA's softmax across scales runs as the chain child "softmax", so
+        a fault in the attention weights is named by it."""
+        def failing(layer, x, training):
+            raise NonFiniteError("injected")
+
+        monkeypatch.setattr(ops.ScaleSoftmax, "apply", failing)
+        net = build_toy_epsanet(num_classes=4, **defaults.TOY_MODEL).net
+        with pytest.raises(NonFiniteError) as info:
+            net.apply(random_uniform((1, 3, 32, 32), seed=0), training=False)
+        assert (info.value.layer, info.value.phase) == ("layer1.0.conv2.softmax", "forward")
 
     @pytest.mark.parametrize("phase", ["forward", "backward"])
     @pytest.mark.parametrize("build", [

@@ -317,6 +317,23 @@ class TestSoftmaxOverScales:
             ops.softmax_over_scales(np.zeros((2, 4, 3)))
 
 
+class TestScaleSoftmax:
+    def test_matches_softmax_over_scales_bitwise(self, rng):
+        z = rng.standard_normal((3, 4, 8, 1, 1)) * 5
+        att, _ = ops.ScaleSoftmax(4).apply(Tensor(z.reshape(12, 8, 1, 1)), False)
+        assert att.shape == (12, 8, 1, 1)
+        assert np.array_equal(att.data.reshape(z.shape), ops.softmax_over_scales(z))
+        np.testing.assert_allclose(att.data.reshape(z.shape).sum(axis=1), 1.0, atol=1e-12)
+
+    def test_weights_compete_across_scales_only(self):
+        """Scale s of sample n is row n*S + s; equal logits within a sample
+        give 1/S whatever the other sample holds."""
+        z = np.zeros((4, 1, 1, 1))
+        z[2:] = [[[[0.0]]], [[[np.log(3.0)]]]]
+        att, _ = ops.ScaleSoftmax(2).apply(Tensor(z), False)
+        np.testing.assert_allclose(att.data.ravel(), [0.5, 0.5, 0.25, 0.75], atol=1e-15)
+
+
 class TestBatchNorm:
     def test_eval_identity_configuration(self, rng):
         p = BatchNormParams.init(3)
