@@ -31,9 +31,9 @@ def _emit(text: str, output: str | None) -> None:
 
 def cmd_describe(args) -> int:
     if args.config:
-        model = models.build_from_config(json.loads(Path(args.config).read_text()), seed=args.seed)
+        model = models.build_from_config(json.loads(Path(args.config).read_text()))
     elif args.model:
-        model = models.build_model(args.model, seed=args.seed)
+        model = models.build_model(args.model)
     else:
         print("describe: a model name or --config is required", file=sys.stderr)
         return EXIT_USAGE
@@ -45,7 +45,7 @@ def cmd_describe(args) -> int:
 def cmd_complexity(args) -> int:
     reports = []
     for name in args.models:
-        model = models.build_model(name, seed=args.seed)
+        model = models.build_model(name)
         shape = (1, 3, args.input_size, args.input_size)
         reports.append(complexity.analyze(model, shape))
         del model
@@ -97,9 +97,9 @@ def cmd_train_toy(args) -> int:
 
 def cmd_ablation(args) -> int:
     rows = []
-    x = random_uniform((1, 3, 64, 64), seed=args.seed)
+    x = random_uniform((1, 3, 64, 64), seed=0)
     for cfg in models.ablation_configs():
-        model = models.build_epsanet50_with_groups(cfg.groups, seed=args.seed)
+        model = models.build_epsanet50_with_groups(cfg.groups)
         report = complexity.analyze(model, (1, 3, args.input_size, args.input_size))
         logits = models.forward(model, x)  # raises on non-finite values
         rows.append({
@@ -135,28 +135,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_arg=True):
-        if model_arg:
-            p.add_argument("model", nargs="?", help="canonical model name")
-            p.add_argument("--config", help="JSON model-config file (overrides the name)")
+    def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", help="write result to this path instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("describe", help="stage table with output sizes")
+    p.add_argument("model", nargs="?", help="canonical model name")
+    p.add_argument("--config", help="JSON model-config file (overrides the name)")
     common(p)
     p.add_argument("--input-size", type=int, default=224)
     p.set_defaults(func=cmd_describe)
 
     p = sub.add_parser("complexity", help="parameter/FLOP report, or a comparison for several models")
     p.add_argument("models", nargs="+", help="canonical model names")
-    common(p, model_arg=False)
+    common(p)
     p.add_argument("--input-size", type=int, default=224)
     p.set_defaults(func=cmd_complexity)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")
     p.add_argument("scope", choices=gradcheck.SCOPES)
-    common(p, model_arg=False)
+    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="overfit the frozen toy fixture")
@@ -170,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("ablation", help="group-size ablation configurations, complexity and smoke forward")
-    common(p, model_arg=False)
+    common(p)
     p.add_argument("--input-size", type=int, default=224)
     p.set_defaults(func=cmd_ablation)
 
@@ -192,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonFiniteError as err:  # a ValueError, so caught first
         print(f"error: {err} (layer {err.layer}, phase {err.phase})", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as err:
+    except (ValueError, OSError, MemoryError) as err:  # json.JSONDecodeError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,18 +1,20 @@
 """Finite-difference verification of every analytic backward pass.
 
-Every check goes through one routine, `_Suite.check(name, apply, x, layer,
-keys)`. `apply` maps a Tensor to (y, vjp), as an op's GradPair and a
-layer's `apply` both do. The routine builds the scalar objective
+Every check goes through one routine, `_Suite.check(name, layer, x,
+keys=(), training=True)`, which runs the layer only through
+`layer.apply(x, training)`, the call a network makes, and so differentiates
+the object it perturbs. The routine builds the scalar objective
 sum(w * y) with fixed random weights w, drawn afresh for each gradient,
 and compares the closed-form gradient against central differences: first
 the input's, recorded as `name.input`, then that of each parameter in
 `keys`, recorded as `name.<key>`. A parameter is read through
 `layer.params()`, perturbed through `layer.set_param` and restored
 bitwise afterwards. Each check reports the max element-wise relative error
-(denominator clamped at `ops.REL_ERROR_CLAMP`, 1e-8). The ops and the
-leaf and parameter-free layers, `ScaleSoftmax` among them, come from
-`ops`, `Psa` and the bottleneck blocks from `models`. Shared by the test
-suite and the `gradcheck` CLI subcommand.
+(denominator clamped at `ops.REL_ERROR_CLAMP`, 1e-8). The leaf and
+parameter-free layers, `ReLU`, `Sigmoid`, `GlobalAvgPool` and
+`ScaleSoftmax` among them, come from `ops`, `Psa` and the bottleneck
+blocks from `models`. Shared by the test suite and the `gradcheck` CLI
+subcommand.
 """
 
 from __future__ import annotations
@@ -55,13 +57,13 @@ class _Suite:
         numeric = ops.finite_difference_array(f, at, EPSILON)
         self.results.append(CheckResult(name, ops.max_relative_error(analytic, numeric)))
 
-    def check(self, name: str, apply, x: Tensor, layer: ops.Layer | None = None, keys=()) -> None:
-        """Check the gradient of apply (Tensor -> (y, vjp)) at x with respect
+    def check(self, name: str, layer: ops.Layer, x: Tensor, keys=(), training: bool = True) -> None:
+        """Check the gradient of layer.apply(., training) at x with respect
         to x, then to each of layer's parameters named in keys."""
-        y, vjp = apply(x)
+        y, vjp = layer.apply(x, training)
 
         def objective(t: Tensor, w: np.ndarray) -> float:
-            out, _ = apply(t)
+            out, _ = layer.apply(t, training)
             return float((out.data * w).sum())
 
         w = self._weights(y.shape)
@@ -84,53 +86,47 @@ def _rand_tensor(rng, shape, low=-1.0, high=1.0) -> Tensor:
     return Tensor(rng.uniform(low, high, size=shape))
 
 
-def _train(layer: ops.Layer):
-    """The layer's apply in training mode, as a Tensor -> (y, vjp) map."""
-    return lambda t: layer.apply(t, True)
-
-
 def _check_ops(s: _Suite) -> None:
     rng = s.rng
 
     # grouped conv, stride 1: input, weight and bias gradients
     conv = ops.Conv2dParams.init(4, 6, 3, padding=1, groups=2, bias=True, seed=rng)
-    s.check("conv2d.g2", _train(conv), _rand_tensor(rng, (2, 4, 5, 5)), conv, ("weight", "bias"))
+    s.check("conv2d.g2", conv, _rand_tensor(rng, (2, 4, 5, 5)), ("weight", "bias"))
 
     # strided conv with larger kernel and more groups
     conv = ops.Conv2dParams.init(8, 8, 5, stride=2, padding=2, groups=4, seed=rng)
-    s.check("conv2d.s2", _train(conv), _rand_tensor(rng, (2, 8, 7, 7)), conv, ("weight",))
+    s.check("conv2d.s2", conv, _rand_tensor(rng, (2, 8, 7, 7)), ("weight",))
 
     # linear on (N, C, 1, 1)
     fc = ops.LinearParams.init(6, 4, seed=rng)
-    s.check("linear", _train(fc), _rand_tensor(rng, (3, 6, 1, 1)), fc, ("weight",))
+    s.check("linear", fc, _rand_tensor(rng, (3, 6, 1, 1)), ("weight",))
 
     # activations; relu inputs kept away from the kink at 0
     xr = Tensor(rng.uniform(0.1, 1.0, size=(2, 3, 4, 4)) * rng.choice([-1.0, 1.0], size=(2, 3, 4, 4)))
-    s.check("relu", ops.relu, xr)
-    s.check("sigmoid", ops.sigmoid, _rand_tensor(rng, (2, 3, 4, 4), -3, 3))
+    s.check("relu", ops.ReLU(), xr)
+    s.check("sigmoid", ops.Sigmoid(), _rand_tensor(rng, (2, 3, 4, 4), -3, 3))
 
     # batch norm, both modes
     bn = ops.BatchNormParams.init(3)
-    bn.set_param("gamma", rng.uniform(0.5, 1.5, 3))
-    bn.set_param("beta", rng.uniform(-0.5, 0.5, 3))
+    bn.assign({"gamma": rng.uniform(0.5, 1.5, 3), "beta": rng.uniform(-0.5, 0.5, 3)})
     xb = _rand_tensor(rng, (2, 3, 4, 4))
-    s.check("batch_norm.train", _train(bn), xb, bn, ("gamma",))
+    s.check("batch_norm.train", bn, xb, ("gamma",))
     bn = ops.BatchNormParams.init(3)
     bn.assign({"running_mean": rng.uniform(-0.5, 0.5, 3), "running_var": rng.uniform(0.5, 2.0, 3)})
-    s.check("batch_norm.eval", lambda t: bn.apply(t, False), xb)
+    s.check("batch_norm.eval", bn, xb, training=False)
 
     # max pool on well-separated values (no ties within epsilon)
     vals = rng.permutation(np.arange(2 * 3 * 8 * 8, dtype=np.float64)) * 0.01
-    s.check("max_pool", _train(ops.MaxPool(3, 2, 1)), Tensor(vals.reshape(2, 3, 8, 8)))
+    s.check("max_pool", ops.MaxPool(3, 2, 1), Tensor(vals.reshape(2, 3, 8, 8)))
 
-    s.check("global_avg_pool", ops.global_avg_pool, _rand_tensor(rng, (2, 4, 5, 5)))
+    s.check("global_avg_pool", ops.GlobalAvgPool(), _rand_tensor(rng, (2, 4, 5, 5)))
 
     # softmax across 4 scales of (N*S, C', 1, 1) logits, N = 2 and C' = 3
-    s.check("softmax_over_scales", _train(ops.ScaleSoftmax(4)), _rand_tensor(rng, (8, 3, 1, 1), -2, 2))
+    s.check("softmax_over_scales", ops.ScaleSoftmax(4), _rand_tensor(rng, (8, 3, 1, 1), -2, 2))
 
     # narrowing strided conv: the weight-first strategy at stride 2, both passes
     conv = ops.Conv2dParams.init(8, 2, 5, stride=2, padding=2, groups=2, seed=rng)
-    s.check("conv2d.narrow.s2", _train(conv), _rand_tensor(rng, (2, 8, 7, 7)), conv, ("weight",))
+    s.check("conv2d.narrow.s2", conv, _rand_tensor(rng, (2, 8, 7, 7)), ("weight",))
 
 
 def _check_psa(s: _Suite) -> None:
@@ -142,7 +138,7 @@ def _check_psa(s: _Suite) -> None:
         ("c8s2", PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2), stride=2), (1, 8, 5, 5), keys),
     ]:
         layer = Psa.init(cfg, rng)
-        s.check(f"psa.{tag}", _train(layer), _rand_tensor(rng, shape), layer, tag_keys)
+        s.check(f"psa.{tag}", layer, _rand_tensor(rng, shape), tag_keys)
 
 
 def _check_block(s: _Suite) -> None:
@@ -160,7 +156,7 @@ def _check_block(s: _Suite) -> None:
         for stride, size in ((1, 6), (2, 4)):
             block = build_block(spec, in_channels=8, stride=stride, seed=int(rng.integers(2**31)))
             x = _rand_tensor(rng, (batch, 8, size, size))
-            s.check(f"{kind}_block.s{stride}", _train(block), x, block, keys)
+            s.check(f"{kind}_block.s{stride}", block, x, keys)
 
 
 def run_suite(scope: str, seed: int = 0) -> list[CheckResult]:

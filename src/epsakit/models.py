@@ -2,10 +2,10 @@
 
 Networks are trees of `ops.Layer`s whose leaves are the parameter sets and
 the parameter-free layers of `ops`; `Psa` and `SeScale` are the `psa`
-parameter composites with an `apply` added or replaced. A composite
-(`Bottleneck`, `Network`) runs its children with `ops._chain`. In eval
-(`training` false) it returns vjp=None and drops each child's vjp as the
-child returns, so a layer's input is freed before the next layer runs. The
+parameter composites with an `apply` added or replaced. Each composite
+runs its children with `ops._chain` in its caller's mode, so at every depth
+an eval forward (`training` false) returns vjp=None and drops each child's
+vjp as the child returns, freeing a layer's input before the next runs. The
 chain checks each child's dx for NaN/Inf once. A NonFiniteError from
 either pass gets `layer`, the dotted name of the layer that failed,
 prefixed at each level it passes up, and `phase`, "forward" or "backward".
@@ -72,7 +72,7 @@ class Psa(PsaParams):
     `psa_with_grad` through this module, where a profiler can wrap it."""
 
     def apply(self, x: Tensor, training: bool):
-        return psa_with_grad(x, self)
+        return psa_with_grad(x, self, training)
 
 
 @dataclass(frozen=True)

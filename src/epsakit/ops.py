@@ -11,7 +11,8 @@ runs their op. The parameter-free layers `ReLU`, `Sigmoid`, `ScaleSoftmax`,
 `MaxPool` and `GlobalAvgPool` live here too. The composites in `psa` and
 `models` are trees of them, run by the one chain runner `_chain`, which
 keys each child's gradients by its name and checks each child's dx for
-NaN/Inf once, and reweighted by the one SE product rule `_rescale`.
+NaN/Inf once, across nested chains too, and reweighted by the one SE
+product rule `_rescale`.
 
 Forward values are `Tensor`s: read-only, and checked finite as each op
 wraps its output, so NaN or Inf raises `NonFiniteError` where it first
@@ -246,7 +247,8 @@ def _located(name: str, phase: str):
 
 
 def _chain(layers, x: Tensor, training: bool):
-    """Run (name, layer) pairs in order; the vjp (None in eval) names each gradient and checks each dx."""
+    """Run (name, layer) pairs in order; the vjp (None in eval) names each gradient and
+    checks each dx once (a nested chain returns its first child's dx, checked there)."""
     vjps = []
     for name, layer in layers:
         with _located(name, "forward"):
@@ -262,11 +264,12 @@ def _chain(layers, x: Tensor, training: bool):
         for name, v in reversed(vjps):
             with _located(name, "backward"):
                 dy, g = v(dy)
-                if not _all_finite(dy):
+                if not getattr(v, "checked_dx", False) and not _all_finite(dy):
                     raise NonFiniteError("gradient has NaN or Inf")
             grads.update({f"{name}.{k}": a for k, a in g.items()})
         return dy, grads
 
+    vjp.checked_dx = bool(vjps)  # an empty chain returns dy unchecked
     return x, vjp
 
 
@@ -467,6 +470,10 @@ class ScaleSoftmax(Layer):
 
     scales: int
 
+    def __post_init__(self) -> None:
+        if self.scales < 1:
+            raise ValueError(f"scales must be >= 1, got {self.scales}")
+
     def apply(self, x: Tensor, training: bool) -> GradPair:
         z = x.data.reshape(x.n // self.scales, self.scales, *x.shape[1:])
         e = np.exp(z - z.max(axis=1, keepdims=True))
@@ -515,6 +522,8 @@ class GradPair:
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
+    if kernel < 1 or stride < 1 or padding < 0:
+        raise ValueError(f"need kernel >= 1, stride >= 1, padding >= 0: {kernel=} {stride=} {padding=}")
     out = (size + 2 * padding - kernel) // stride + 1
     if out <= 0:
         raise ValueError(

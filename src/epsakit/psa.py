@@ -12,7 +12,8 @@ concatenation back to C channels.
 
 Every part runs as a named `ops._chain` child: each branch conv, "se" and
 "softmax", and inside the weighter its five ops, so gradients are keyed
-and a NaN or Inf is located by the same names as the ledger rows.
+and a NaN or Inf is located by the same names as the ledger rows. Each
+runs in its caller's mode: in eval no part builds a backward.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ class SeWeightParams(Layer):
         return [("gap", _GAP), ("fc0", self.fc0), ("relu", _RELU), ("fc1", self.fc1), ("sigmoid", _SIGMOID)]
 
     def apply(self, x: Tensor, training: bool) -> GradPair:
-        return _se_weight_grad(x, self)
+        return _se_weight_grad(x, self, training)
 
     def complexity(self, in_shape):
         """(N, C, H, W) to its weights (N, C, 1, 1); one row for the chain."""
@@ -224,13 +225,13 @@ class PsaParams(Layer):
         return (n, cfg.channels, h, w), rows + [replace(se, name="se", flops=cfg.scales * se.flops)]
 
 
-def _se_weight_grad(x: Tensor, p: SeWeightParams) -> GradPair:
-    return GradPair(*_chain(p.children(), x, True))
+def _se_weight_grad(x: Tensor, p: SeWeightParams, training: bool = True) -> GradPair:
+    return GradPair(*_chain(p.children(), x, training))
 
 
 def se_weight(x: Tensor, p: SeWeightParams) -> Tensor:
     """Per-channel weights in (0, 1), shape (N, C', 1, 1)."""
-    return _se_weight_grad(x, p).output
+    return _se_weight_grad(x, p, False).output
 
 
 def spc_forward(x: Tensor, p: PsaParams) -> list[Tensor]:
@@ -238,20 +239,21 @@ def spc_forward(x: Tensor, p: PsaParams) -> list[Tensor]:
     return [conv2d(x, c).output for c in p.branch_convs]
 
 
-def psa_with_grad(x: Tensor, p: PsaParams) -> GradPair:
-    """Full PSA forward with a backward closure over input and parameters,
-    built even for an eval forward: the branch convs, stacked, reweighted by
-    `_rescale` (module docstring). Gradients are keyed "branch{i}.weight" and
-    "se.fc0/fc1.weight/bias" by the chain each part runs in; the shared SE
-    weighter's gradients sum over all scales."""
-    ys, branch_vjps = zip(*[_chain([(f"branch{i}", c)], x, True) for i, c in enumerate(p.branch_convs)])
+def psa_with_grad(x: Tensor, p: PsaParams, training: bool = True) -> GradPair:
+    """Full PSA forward: the branch convs, stacked, reweighted by `_rescale`
+    (module docstring), every part run in `training` (backward None in eval).
+    Gradients are keyed "branch{i}.weight" and "se.fc0/fc1.weight/bias" by
+    the chain each part runs in; the shared SE weighter's sum over all scales."""
+    ys, branch_vjps = zip(*[_chain([(f"branch{i}", c)], x, training) for i, c in enumerate(p.branch_convs)])
     feats = np.stack([y.data for y in ys], axis=1)  # (N, S, C', H, W)
     del ys  # the stack replaces the branch maps
     shape = feats.shape
     stack = Tensor(None, _trusted=feats.reshape(-1, *shape[2:]))  # each map was checked finite
     gate = [("se", p.se), ("softmax", ScaleSoftmax(p.config.scales))]
-    y, rescale_vjp = _rescale(stack, lambda t, _: _chain(gate, t, True), True)
+    y, rescale_vjp = _rescale(stack, lambda t, mode: _chain(gate, t, mode), training)
     out = Tensor(None, _trusted=y.data.reshape(shape[0], -1, *shape[3:]))
+    if not training:
+        return GradPair(out, None)
     out_shape = out.shape  # the closure holds neither the output nor x
 
     def backward(dy: np.ndarray):
@@ -271,4 +273,4 @@ def psa_with_grad(x: Tensor, p: PsaParams) -> GradPair:
 
 def psa_forward(x: Tensor, p: PsaParams) -> Tensor:
     """PSA output; same channel count as the input."""
-    return psa_with_grad(x, p).output
+    return psa_with_grad(x, p, False).output

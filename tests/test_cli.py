@@ -284,3 +284,14 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["name"] == "resnet50"
+
+
+@pytest.mark.parametrize("argv", [
+    ("describe", "resnet50"), ("complexity", "resnet50"), ("ablation",),
+], ids=lambda argv: argv[0])
+def test_seed_is_not_a_flag_where_it_would_change_nothing(capsys, argv):
+    """describe, complexity and ablation print the same bytes at every
+    seed, so they take no --seed; a usage error exits 2 before any work."""
+    code, out, err = run(capsys, *argv, "--seed", "3")
+    assert code == 2 and out == ""
+    assert "--seed" in err

@@ -19,7 +19,7 @@ from epsakit.models import (
     forward,
     spec_to_config,
 )
-from epsakit.psa import PsaConfig
+from epsakit.psa import PsaConfig, SeWeightParams
 from epsakit.tensor import NonFiniteError, Tensor, random_uniform
 
 
@@ -381,6 +381,28 @@ class TestLayerProtocol:
             dx, grads = vjp(np.ones(x.shape))
         assert np.all(dx == 1e200) and grads == {}
 
+    def test_chain_checks_each_dx_once_across_nested_chains(self, monkeypatch):
+        """A PSA backward checks the dx of each of its ten leaf ops: four
+        branch convs, the softmax and the weighter's five ops. The weighter
+        returns its gap's dx, which its own chain checked, so "se" adds none."""
+        psa = models.Psa.init(PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2)), seed=0)
+        _, vjp = psa.apply(random_uniform((1, 8, 4, 4), seed=1), training=True)
+        checked = []
+        monkeypatch.setattr(ops, "_all_finite", lambda a: checked.append(a.shape) or True)
+        vjp(np.ones((1, 8, 4, 4)))
+        assert len(checked) == 10
+
+    def test_chain_checks_the_dx_an_empty_nested_chain_passes_on(self):
+        class Empty(models.Layer):
+            def apply(self, x, training):
+                return models._chain([], x, training)
+
+        x = random_uniform((1, 2, 3, 3), seed=0)
+        _, vjp = models._chain([("empty", Empty())], x, training=True)
+        with pytest.raises(NonFiniteError) as info:
+            vjp(np.full(x.shape, np.nan))
+        assert (info.value.layer, info.value.phase) == ("empty", "backward")
+
     def test_every_param_round_trips(self):
         net = build_toy_epsanet(seed=0).net
         for i, (name, value) in enumerate(net.params().items()):
@@ -481,6 +503,39 @@ class TestEvalKeepsNothing:
         y_train, _ = se.apply(x, training=True)
         assert np.array_equal(y.data, y_train.data)
 
+    @pytest.mark.parametrize("build", [
+        lambda: models.Psa.init(PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2)), seed=0),
+        lambda: SeWeightParams.init(8, 4, seed=0),
+    ], ids=["psa", "se_weight"])
+    def test_psa_and_se_weight_eval_return_no_vjp(self, build):
+        layer = build()
+        x = random_uniform((2, 8, 5, 5), seed=1)
+        y, vjp = layer.apply(x, training=False)
+        assert vjp is None
+        y_train, _ = layer.apply(x, training=True)
+        assert np.array_equal(y.data, y_train.data)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_toy_epsanet(num_classes=4, **defaults.TOY_MODEL),
+        lambda: build_from_config({"name": "se1", "num_classes": 3, "stem_channels": 16, "stages": [
+            {"repeats": 1, "mid_channels": 8, "kind": "se", "se_reduction": 4}]}),
+    ], ids=["epsa_toy", "se_one_stage"])
+    def test_eval_forward_applies_every_layer_in_eval(self, build):
+        """training means one thing at every depth: an eval forward applies
+        every layer of the tree, down to the SE weighter's ops, with False."""
+        net = build().net
+        layers = set(_walk(net))  # a shared instance (a ReLU, psa's _GAP) once
+        calls = []
+        for layer in layers:
+            layer.apply = _recording(layer, calls)
+        try:
+            net.apply(random_uniform((2, 3, 32, 32), seed=0), training=False)
+        finally:
+            for layer in layers:
+                del layer.apply
+        assert {layer for layer, _ in calls} == layers
+        assert [layer for layer, training in calls if training] == []
+
 
 class TestNonFiniteNaming:
     def test_forward_failure_names_the_layer(self):
@@ -541,6 +596,24 @@ class TestNonFiniteNaming:
                 del layer.apply
             named.append((info.value.layer, info.value.phase))
         assert named == [(row.name, phase) for row in rows]
+
+
+def _walk(layer):
+    """layer and every layer below it, down children()."""
+    yield layer
+    for _, child in layer.children():
+        yield from _walk(child)
+
+
+def _recording(layer, calls: list):
+    """layer.apply, made to append (layer, training) to calls first."""
+    apply = layer.apply
+
+    def recording(x, training):
+        calls.append((layer, training))
+        return apply(x, training)
+
+    return recording
 
 
 def _resolve(layer, name: str):

@@ -316,6 +316,11 @@ class TestSoftmaxOverScales:
         with pytest.raises(ValueError, match="shape"):
             ops.softmax_over_scales(np.zeros((2, 4, 3)))
 
+    def test_refuses_an_empty_scale_axis(self):
+        with pytest.raises(ValueError, match="scales") as err:
+            ops.softmax_over_scales(np.zeros((1, 0, 1, 1, 1)))
+        assert not isinstance(err.value, NonFiniteError)
+
 
 class TestScaleSoftmax:
     def test_matches_softmax_over_scales_bitwise(self, rng):
@@ -438,6 +443,13 @@ class TestMaxPool:
         # configuration, not a numerical failure.
         x = Tensor(np.ones((1, 2, 5, 5)))
         with pytest.raises(ValueError, match="kernel") as err:
+            ops.max_pool(x, kernel, stride, padding)
+        assert not isinstance(err.value, NonFiniteError)
+
+    @pytest.mark.parametrize("kernel, stride, padding", [(3, 0, 1), (0, 1, -1), (3, -1, 1), (3, 2, -1)])
+    def test_bad_window_geometry_is_a_config_error(self, kernel, stride, padding):
+        x = Tensor(np.ones((1, 2, 8, 8)))
+        with pytest.raises(ValueError, match="stride") as err:
             ops.max_pool(x, kernel, stride, padding)
         assert not isinstance(err.value, NonFiniteError)
 
