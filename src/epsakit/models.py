@@ -2,13 +2,13 @@
 
 Networks are trees of `ops.Layer`s whose leaves are the parameter sets and
 the parameter-free layers of `ops`; `Psa` and `SeScale` are the `psa`
-parameter composites with an `apply` added or replaced. Each composite
-runs its children with `ops._chain` in its caller's mode, so at every depth
-an eval forward (`training` false) returns vjp=None and drops each child's
-vjp as the child returns, freeing a layer's input before the next runs. The
-chain checks each child's dx for NaN/Inf once. A NonFiniteError from
-either pass gets `layer`, the dotted name of the layer that failed,
-prefixed at each level it passes up, and `phase`, "forward" or "backward".
+parameter composites with an `apply` added or replaced. Every layer a
+forward applies is a tree node: each composite runs its children with
+`ops._chain` in its caller's mode, so an eval forward (`training` false)
+returns vjp=None at every depth, dropping each child's vjp as it returns.
+The chain checks each dx for NaN/Inf once. A NonFiniteError from either
+pass gets `layer`, the dotted name of the layer that failed, prefixed at
+each level it passes up, and `phase`, "forward" or "backward".
 
 `Network.apply(x, training)` returns (logits, vjp), the training entry;
 `forward(model, x)` is the eval entry, returning the logits alone.
@@ -57,10 +57,10 @@ __all__ = [
 
 class SeScale(SeWeightParams):
     """Squeeze-excitation recalibration x * se_weight(x) by `ops._rescale`,
-    the SE weighter gating its input. SENet builds it with bias-free FCs."""
+    the weighter's children gating its input. SENet builds it without biases."""
 
     def apply(self, x: Tensor, training: bool):
-        return _rescale(x, super().apply, training)
+        return _rescale(x, self.children(), training)
 
     def complexity(self, in_shape):
         _, [row] = super().complexity(in_shape)
@@ -371,10 +371,10 @@ def spec_to_config(spec: ModelSpec) -> dict:
 
 def config_to_spec(cfg: dict) -> ModelSpec:
     """Parse a model config. A missing field raises KeyError; an unknown
-    field, a psa entry on a stage whose kind is not epsa, a field of the
-    wrong JSON type (a float, bool or string where an integer belongs, or a
-    number where a list or object belongs) or a bad value raises ValueError,
-    naming the field where it can."""
+    field, psa on a stage that is not epsa or se_reduction on one that is
+    not se, a field of the wrong JSON type (a float, bool or string where
+    an integer belongs, a number where a list or object belongs, a name
+    that is no string) or a bad value raises ValueError, naming the field."""
     try:
         _fields(cfg, _MODEL_FIELDS, "model config")
         stages = []
@@ -382,6 +382,8 @@ def config_to_spec(cfg: dict) -> ModelSpec:
             _fields(st, _STAGE_FIELDS, "stage")
             mid = _json(st["mid_channels"], int, "mid_channels")
             kind = st["kind"]
+            if "se_reduction" in st and kind != "se":
+                raise ValueError(f"field 'se_reduction' belongs to an se stage, not to kind {kind!r}")
             out = _json(st.get("out_channels", 4 * mid), int, "out_channels")
             # BlockSpec refuses a psa entry on any other kind
             has_psa = kind == "epsa" or "psa" in st
@@ -392,7 +394,7 @@ def config_to_spec(cfg: dict) -> ModelSpec:
             )
             stages.append(StageSpec(blocks=_json(st["repeats"], int, "repeats"), block=block))
         return ModelSpec(
-            name=str(cfg.get("name", "custom")),
+            name=_json(cfg.get("name", "custom"), str, "name"),
             stages=tuple(stages),
             num_classes=_json(cfg.get("num_classes", 1000), int, "num_classes"),
             stem_channels=_json(cfg.get("stem_channels", 64), int, "stem_channels"),

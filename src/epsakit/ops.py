@@ -12,7 +12,7 @@ runs their op. The parameter-free layers `ReLU`, `Sigmoid`, `ScaleSoftmax`,
 `models` are trees of them, run by the one chain runner `_chain`, which
 keys each child's gradients by its name and checks each child's dx for
 NaN/Inf once, across nested chains too, and reweighted by the one SE
-product rule `_rescale`.
+product rule `_rescale`, whose gate is (name, layer) pairs `_chain` runs.
 
 Forward values are `Tensor`s: read-only, and checked finite as each op
 wraps its output, so NaN or Inf raises `NonFiniteError` where it first
@@ -161,9 +161,9 @@ class Layer:
         complexity()   (out_shape, [LayerRow]), the shape threaded through the
                        children; leaves add their own rows
 
-    A composite's `apply` runs its children through `_chain`. `PsaParams`
-    runs through its subclass `models.Psa`, which adds `apply`;
-    `models.SeScale` replaces `SeWeightParams.apply` with `_rescale`.
+    A composite's `apply` runs exactly its listed children, by `_chain` or
+    as `_rescale`'s gate, so every layer a forward applies is a node of
+    `children()` under the name it runs by; `models.Psa` runs `PsaParams`.
 
     Parameter names are dotted paths, unique within a network. Every
     change to a parameter or running statistic rebinds it (nothing in this
@@ -274,10 +274,10 @@ def _chain(layers, x: Tensor, training: bool):
 
 
 def _rescale(x: Tensor, gate, training: bool):
-    """y = x * g, with g = gate(x, training) of shape (N, C, 1, 1): the SE
-    product rule. The vjp (None in eval) is dy*g plus the gate's vjp of
-    sum_hw dy*x."""
-    g, gate_vjp = gate(x, training)
+    """y = x * g, with g of shape (N, C, 1, 1) what the (name, layer) pairs
+    gate make of x, run by `_chain`: the SE product rule. The vjp (None in
+    eval) is dy*g plus the gate's vjp of sum_hw dy*x."""
+    g, gate_vjp = _chain(gate, x, training)
     y = _wrap(x.data * g.data)
     if not training:
         return y, None

@@ -1,19 +1,19 @@
 """Pyramid squeeze attention (PSA).
 
-Pipeline: S parallel grouped convolutions with growing kernel sizes each
+Pipeline: the children `PsaParams.children()` lists, in the order they
+run. S grouped convolutions "branch{i}" with growing kernel sizes each
 squeeze the full C-channel input down to C' = C/S channels. The branch
 maps are stacked on a scale axis, (N, S, C', H, W), and read as N*S maps
-of C' channels. `ops._rescale` reweights that stack by its gate, a chain
-of two children: the shared squeeze-excitation weighter "se" turns each
-branch map into per-channel logits, and "softmax" (`ops.ScaleSoftmax`)
+of C' channels. `ops._rescale` reweights that stack by its gate, the
+other two children: the shared squeeze-excitation weighter "se" turns
+each branch map into per-channel logits, and "softmax" (`ops.ScaleSoftmax`)
 makes them competing attention weights across the S scales at every
 (sample, channel) position. The product, read as (N, S*C', H, W), is the
 concatenation back to C channels.
 
-Every part runs as a named `ops._chain` child: each branch conv, "se" and
-"softmax", and inside the weighter its five ops, so gradients are keyed
-and a NaN or Inf is located by the same names as the ledger rows. Each
-runs in its caller's mode: in eval no part builds a backward.
+Every part, down to the weighter's five ops, runs as the `ops._chain` child
+it is listed as, keyed and located by its dotted name, in its caller's
+mode: in eval no part builds a backward.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def default_groups(kernels: Sequence[int], channels: int, scales: int) -> tuple[
 
 
 def _json(value, kind: type, field: str):
-    """value, which must be of JSON type kind, int or list (a bool is no int)."""
+    """value, which must be of JSON type kind: int, str, list or dict (a bool is no int)."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"config field {field!r} must be a JSON {kind.__name__}, got {value!r}")
     return value
@@ -190,8 +190,8 @@ class SeWeightParams(Layer):
 
 @dataclass(eq=False)
 class PsaParams(Layer):
-    """Parameters of one PSA module, a composite of its branch convs and SE
-    weighter.
+    """Parameters of one PSA module, a composite of its branch convs, SE
+    weighter and softmax across scales.
 
     branch_convs[i] maps the full C-channel input to C' = C/S channels with
     kernel kernels[i] and groups[i]; the single SE weighter is shared by
@@ -201,6 +201,7 @@ class PsaParams(Layer):
     config: PsaConfig
     branch_convs: list[Conv2dParams]
     se: SeWeightParams
+    softmax: ScaleSoftmax
 
     @classmethod
     def init(cls, config: PsaConfig, seed: int | np.random.Generator = 0) -> "PsaParams":
@@ -210,15 +211,17 @@ class PsaParams(Layer):
             Conv2dParams.init(config.channels, cp, k, config.stride, (k - 1) // 2, g, seed=rng)
             for k, g in zip(config.kernels, config.groups)
         ]
-        return cls(config, convs, SeWeightParams.init(cp, config.se_reduction, rng))
+        se = SeWeightParams.init(cp, config.se_reduction, rng)
+        return cls(config, convs, se, ScaleSoftmax(config.scales))
 
     def children(self):
-        return [(f"branch{i}", c) for i, c in enumerate(self.branch_convs)] + [("se", self.se)]
+        branches = [(f"branch{i}", c) for i, c in enumerate(self.branch_convs)]
+        return branches + [("se", self.se), ("softmax", self.softmax)]
 
     def complexity(self, in_shape):
         """Every branch reads the input; the SE weighter runs once per scale."""
         cfg, rows = self.config, []
-        for branch in self.children()[:-1]:
+        for branch in self.children()[:cfg.scales]:
             (n, _, h, w), r = _ledger([branch], in_shape)
             rows += r
         _, [se] = self.se.complexity((n, cfg.branch_channels, h, w))
@@ -244,13 +247,13 @@ def psa_with_grad(x: Tensor, p: PsaParams, training: bool = True) -> GradPair:
     (module docstring), every part run in `training` (backward None in eval).
     Gradients are keyed "branch{i}.weight" and "se.fc0/fc1.weight/bias" by
     the chain each part runs in; the shared SE weighter's sum over all scales."""
-    ys, branch_vjps = zip(*[_chain([(f"branch{i}", c)], x, training) for i, c in enumerate(p.branch_convs)])
+    nodes, s = p.children(), p.config.scales
+    ys, branch_vjps = zip(*[_chain([branch], x, training) for branch in nodes[:s]])
     feats = np.stack([y.data for y in ys], axis=1)  # (N, S, C', H, W)
     del ys  # the stack replaces the branch maps
     shape = feats.shape
     stack = Tensor(None, _trusted=feats.reshape(-1, *shape[2:]))  # each map was checked finite
-    gate = [("se", p.se), ("softmax", ScaleSoftmax(p.config.scales))]
-    y, rescale_vjp = _rescale(stack, lambda t, mode: _chain(gate, t, mode), training)
+    y, rescale_vjp = _rescale(stack, nodes[s:], training)
     out = Tensor(None, _trusted=y.data.reshape(shape[0], -1, *shape[3:]))
     if not training:
         return GradPair(out, None)

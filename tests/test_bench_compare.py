@@ -48,14 +48,19 @@ def _git(repo, *args):
 
 @pytest.fixture
 def fake_repo(tmp_path, monkeypatch):
-    """(repo, parent sha, child sha): two commits that differ only in SIDE."""
+    """(repo, parent sha, child sha): two commits that differ only in SIDE
+    and in their src/epsakit/*.py, 3 + 2 lines in the parent, 3 + 4 in the child."""
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (repo / "src" / "epsakit").mkdir(parents=True)
+    (repo / "src" / "epsakit" / "a.py").write_text("x = 1\ny = 2\nz = 3\n")
+    (repo / "src" / "epsakit" / "notes.txt").write_text("not counted\n")
     _git(repo, "init", "-q")
     shas = []
-    for side in ("parent", "child"):
+    for side, extra in (("parent", 2), ("child", 4)):
         (repo / "SIDE").write_text(side + "\n")
+        (repo / "src" / "epsakit" / "b.py").write_text("pass\n" * extra)
         _git(repo, "add", "-A")
         _git(repo, "commit", "-q", "-m", side)
         shas.append(_git(repo, "rev-parse", "HEAD"))
@@ -74,6 +79,7 @@ def test_writes_medians_wins_and_raw_values(fake_repo, tmp_path):
     assert (report["parent_sha"], report["child_sha"]) == (parent, child)
     assert report["workloads"] == ["train_toy", "eval_resnet50"]
     assert report["pairs"] == 3 and report["failed_runs"] == []
+    assert report["src_lines"] == {"parent": 5, "child": 7}
     assert report["host"]["nproc"] == [2] and report["host"]["blas"] == ["fakeblas 1.0"]
     assert (report["host"]["load_min"], report["host"]["load_max"]) == (0.5, 1.5)
     assert report["host"]["steal_pct_max"] == 0.25

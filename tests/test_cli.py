@@ -77,9 +77,10 @@ class TestDescribe:
         lambda c: c["stages"][0].update(out_chanels=128),
         lambda c: c["stages"][0]["psa"].update(kernel=3),
         lambda c: c["stages"][0].update(kind="resnet"),
+        lambda c: c["stages"][0].update(se_reduction=4),
     ], ids=["psa_group_0", "se_reduction_0", "mid_channels_0", "repeats_-2", "top_level_list",
             "stages_number", "psa_kernels_number", "psa_list", "repeats_float", "unknown_field",
-            "unknown_stage_field", "unknown_psa_field", "psa_on_resnet"])
+            "unknown_stage_field", "unknown_psa_field", "psa_on_resnet", "se_reduction_on_epsa"])
     def test_malformed_config_exit_2(self, capsys, tmp_path, edit):
         cfg = {
             "name": "custom", "num_classes": 7, "stem_channels": 32,

@@ -224,9 +224,10 @@ class TestConfigSchema:
         ("groups", lambda c: c["stages"][0]["psa"].update(groups=[1, 4, 8, True])),
         ("num_classes", lambda c: c.update(num_classes=7.5)),
         ("stem_channels", lambda c: c.update(stem_channels="32")),
+        ("name", lambda c: c.update(name=["a"])),
     ], ids=["repeats_float", "repeats_bool", "mid_channels_float", "out_channels_string",
             "se_reduction_float", "psa_scales_float", "psa_kernels_string", "psa_groups_bool",
-            "num_classes_float", "stem_channels_string"])
+            "num_classes_float", "stem_channels_string", "name_list"])
     def test_wrong_json_type_names_the_field(self, field, edit):
         cfg = {
             "name": "custom", "num_classes": 7, "stem_channels": 32,
@@ -261,6 +262,13 @@ class TestConfigSchema:
         psa = {"scales": 4, "kernels": [3, 5, 7, 9], "groups": [1, 4, 8, 8]}
         cfg = {"stages": [{"repeats": 1, "mid_channels": 32, "kind": kind, "psa": psa}]}
         with pytest.raises(ValueError, match="psa"):
+            config_to_spec(cfg)
+
+    def test_se_reduction_on_a_stage_that_is_not_se_is_refused(self):
+        """Only an se stage reads se_reduction; on any other it would be
+        dropped, and PSA would silently keep its own psa.se_reduction."""
+        cfg = {"stages": [{"repeats": 1, "mid_channels": 32, "kind": "resnet", "se_reduction": 4}]}
+        with pytest.raises(ValueError, match="'se_reduction'"):
             config_to_spec(cfg)
 
 
@@ -537,6 +545,36 @@ class TestEvalKeepsNothing:
         assert [layer for layer, training in calls if training] == []
 
 
+class TestTreeIsWhatRuns:
+    """Every layer a forward applies is a node of the tree `children()`
+    spans, and every node is applied: tree walks and `_chain` see the same
+    layers."""
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+    @pytest.mark.parametrize("build", [
+        lambda: build_toy_epsanet(num_classes=4, **defaults.TOY_MODEL),
+        lambda: build_from_config({"name": "se1", "num_classes": 3, "stem_channels": 16, "stages": [
+            {"repeats": 1, "mid_channels": 8, "kind": "se", "se_reduction": 4}]}),
+    ], ids=["epsa_toy", "se_one_stage"])
+    def test_applied_layers_are_the_tree(self, monkeypatch, build, training):
+        applied = set()
+
+        def recording(apply):
+            def wrapped(layer, x, training):
+                applied.add(layer)
+                return apply(layer, x, training)
+            return wrapped
+
+        for cls in _subclasses(ops.Layer):
+            if "apply" in vars(cls):
+                monkeypatch.setattr(cls, "apply", recording(vars(cls)["apply"]))
+        net = build().net
+        logits, vjp = net.apply(random_uniform((2, 3, 32, 32), seed=0), training=training)
+        if training:
+            vjp(np.ones(logits.shape))
+        assert applied == set(_walk(net))
+
+
 class TestNonFiniteNaming:
     def test_forward_failure_names_the_layer(self):
         net = build_toy_epsanet(num_classes=4, **defaults.TOY_MODEL).net
@@ -603,6 +641,13 @@ def _walk(layer):
     yield layer
     for _, child in layer.children():
         yield from _walk(child)
+
+
+def _subclasses(cls):
+    """Every subclass of cls, at any depth."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
 
 
 def _recording(layer, calls: list):

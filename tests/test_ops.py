@@ -50,6 +50,13 @@ class TestConv2d:
         assert p.weight.size == 16 * (16 // 4) * 25 == 1600
         assert p.param_count == 1600
 
+    def test_backward_refuses_a_reshaped_upstream_gradient(self):
+        """A dy of the output's size but not its shape is refused by name."""
+        p = Conv2dParams.init(8, 8, 3, padding=1)
+        _, vjp = ops.conv2d(Tensor(np.zeros((1, 8, 4, 6))), p)
+        with pytest.raises(ValueError, match=r"upstream gradient shape \(1, 8, 6, 4\) != \(1, 8, 4, 6\)"):
+            vjp(np.zeros((1, 8, 6, 4)))
+
     def test_channel_mismatch_rejected(self):
         p = Conv2dParams.init(4, 4, 3)
         with pytest.raises(ValueError):

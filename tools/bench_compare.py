@@ -14,8 +14,9 @@ From each run it reads the last line of standard output, one JSON object
 {correct, attempted, failed, metrics}, and the `context: {...}` line (BLAS,
 load, steal). It writes BENCH_<N>.json at the repository root, holding, per workload and metric, both medians, the
 parent's interquartile range, the pairs each side won (a tie counts for
-neither) and every raw value; both SHAs; the host context; and which
-workloads and how many pairs ran. Whether lower or higher is better comes
+neither) and every raw value; both SHAs; each tree's `src/` line count,
+`src_lines`, as `wc -l src/epsakit/*.py` totals it; the host context; and
+which workloads and how many pairs ran. Whether lower or higher is better comes
 from the child tree's BENCHMARK.json, or else from the metric's name (a
 rate, `*per_s`, is better higher).
 
@@ -54,6 +55,11 @@ def export(repo: Path, sha: str, dest: Path) -> Path:
         tar.extractall(dest, filter="data")
     archive.unlink()
     return dest
+
+
+def src_lines(tree: Path) -> int:
+    """The newlines in the tree's src/epsakit/*.py, the total `wc -l` prints."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "epsakit").glob("*.py"))
 
 
 def parse_run(stdout: str, returncode: int) -> dict:
@@ -151,6 +157,7 @@ def compare(repo: Path, parent: str, child: str, workloads: list[str], pairs: in
     with tempfile.TemporaryDirectory(prefix="bench_compare_") as tmp:
         trees = {side: export(repo, shas[side], Path(tmp) / side) for side in SIDES}
         directions = better_directions(trees["child"])
+        lines = {side: src_lines(trees[side]) for side in SIDES}
         results = {w: [] for w in workloads}
         for seed in range(1, pairs + 1):
             order = SIDES if seed % 2 else SIDES[::-1]
@@ -167,6 +174,7 @@ def compare(repo: Path, parent: str, child: str, workloads: list[str], pairs: in
         "workloads": workloads,
         "pairs": pairs,
         "seconds": seconds,
+        "src_lines": lines,
         "host": host(all_runs),
         "failed_runs": [{"workload": w, "seed": p["seed"], "side": side}
                         for w in workloads for p in results[w] for side in SIDES
