@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .ops import BatchNormParams, Conv2dParams, GlobalAvgPool, Layer, LayerRow, LinearParams, MaxPool, ReLU
-from .ops import _chain, _ledger, _rescale, _rng
+from .ops import GradPair, _chain, _ledger, _rescale, _rng
 from .psa import PsaConfig, PsaParams, SeWeightParams, _json, default_groups, psa_with_grad
 from .tensor import Tensor, _wrap
 
@@ -158,8 +158,6 @@ class Bottleneck(Layer):
         h, body_vjp = _chain(self.body, x, training)
         s, shortcut_vjp = _chain(self.shortcut, x, training)
         y, relu_vjp = _chain([("relu3", self.relu)], _wrap(h.data + s.data), training)
-        if not training:
-            return y, None
 
         def vjp(dy):
             dpre, _ = relu_vjp(dy)
@@ -168,7 +166,7 @@ class Bottleneck(Layer):
             grads.update(g)
             return dh + ds, grads
 
-        return y, vjp
+        return GradPair(y, vjp if training else None)
 
     def complexity(self, in_shape):
         shape, rows = _ledger(self.body, in_shape)
@@ -199,9 +197,11 @@ class Network(Layer):
         return self.layers
 
     def apply(self, x: Tensor, training: bool = False):
-        """Returns (logits, vjp); logits is a (N, num_classes) array."""
+        """Returns (logits, vjp); logits is a (N, num_classes) array, and so
+        is the only dlogits the vjp (None in eval) takes, by `GradPair`."""
         y, vjp = _chain(self.layers, x, training)
-        return y.data.reshape(y.n, y.c), vjp
+        head = vjp and (lambda dlogits: vjp(dlogits.reshape(y.shape)))
+        return tuple(GradPair(y.data.reshape(y.n, y.c), head))
 
     # Defined on the class itself, so a profiler can wrap them here.
     params = Layer.params
@@ -375,32 +375,29 @@ def config_to_spec(cfg: dict) -> ModelSpec:
     not se, a field of the wrong JSON type (a float, bool or string where
     an integer belongs, a number where a list or object belongs, a name
     that is no string) or a bad value raises ValueError, naming the field."""
-    try:
-        _fields(cfg, _MODEL_FIELDS, "model config")
-        stages = []
-        for st in _json(cfg["stages"], list, "stages"):
-            _fields(st, _STAGE_FIELDS, "stage")
-            mid = _json(st["mid_channels"], int, "mid_channels")
-            kind = st["kind"]
-            if "se_reduction" in st and kind != "se":
-                raise ValueError(f"field 'se_reduction' belongs to an se stage, not to kind {kind!r}")
-            out = _json(st.get("out_channels", 4 * mid), int, "out_channels")
-            # BlockSpec refuses a psa entry on any other kind
-            has_psa = kind == "epsa" or "psa" in st
-            psa = PsaConfig.from_dict(mid, _fields(st["psa"], _PSA_FIELDS, "psa")) if has_psa else None
-            block = BlockSpec(
-                kind=kind, mid_channels=mid, out_channels=out, psa=psa,
-                se_reduction=_json(st.get("se_reduction", 16), int, "se_reduction"),
-            )
-            stages.append(StageSpec(blocks=_json(st["repeats"], int, "repeats"), block=block))
-        return ModelSpec(
-            name=_json(cfg.get("name", "custom"), str, "name"),
-            stages=tuple(stages),
-            num_classes=_json(cfg.get("num_classes", 1000), int, "num_classes"),
-            stem_channels=_json(cfg.get("stem_channels", 64), int, "stem_channels"),
+    _fields(cfg, _MODEL_FIELDS, "model config")
+    stages = []
+    for st in _json(cfg["stages"], list, "stages"):
+        _fields(st, _STAGE_FIELDS, "stage")
+        mid = _json(st["mid_channels"], int, "mid_channels")
+        kind = st["kind"]
+        if "se_reduction" in st and kind != "se":
+            raise ValueError(f"field 'se_reduction' belongs to an se stage, not to kind {kind!r}")
+        out = _json(st.get("out_channels", 4 * mid), int, "out_channels")
+        # BlockSpec refuses a psa entry on any other kind
+        has_psa = kind == "epsa" or "psa" in st
+        psa = PsaConfig.from_dict(mid, _fields(st["psa"], _PSA_FIELDS, "psa")) if has_psa else None
+        block = BlockSpec(
+            kind=kind, mid_channels=mid, out_channels=out, psa=psa,
+            se_reduction=_json(st.get("se_reduction", 16), int, "se_reduction"),
         )
-    except TypeError as err:
-        raise ValueError(f"a model config field has the wrong JSON type ({err})") from None
+        stages.append(StageSpec(blocks=_json(st["repeats"], int, "repeats"), block=block))
+    return ModelSpec(
+        name=_json(cfg.get("name", "custom"), str, "name"),
+        stages=tuple(stages),
+        num_classes=_json(cfg.get("num_classes", 1000), int, "num_classes"),
+        stem_channels=_json(cfg.get("stem_channels", 64), int, "stem_channels"),
+    )
 
 
 def build_from_config(cfg: dict, seed: int = 0) -> Model:

@@ -1,9 +1,9 @@
 """Neural operators with explicit backward passes.
 
-Each differentiable operator returns a GradPair: the forward output plus a
-closure mapping an upstream gradient to (input gradient, parameter
-gradients). Backwards are hand-derived and validated against the central
-finite-difference oracle that also lives here.
+Every layer's `apply`, leaf or composite, returns a GradPair: the forward
+output plus a closure mapping an upstream gradient to (input gradient,
+parameter gradients). Backwards are hand-derived and validated against the
+central finite-difference oracle that also lives here.
 
 A parameter set is its leaf layer: `Conv2dParams`, `LinearParams` and
 `BatchNormParams` implement `Layer`, the one layer protocol, and `apply`
@@ -18,10 +18,10 @@ Forward values are `Tensor`s: read-only, and checked finite as each op
 wraps its output, so NaN or Inf raises `NonFiniteError` where it first
 appears. That check, like every other finiteness guard in the package,
 is `tensor._all_finite`: one BLAS dot of the output with itself, exact.
-Gradients are plain float64 ndarrays: a backward takes dy with the
-output's shape and returns dx with the input's shape, unwrapped and
-unchecked, and parameter gradients are ndarrays keyed by parameter name.
-A GradPair unpacks as (output, backward).
+Gradients are plain float64 ndarrays: a backward takes dy only in the
+output's shape (GradPair refuses any other) and returns dx in the input's
+shape, unwrapped and unchecked, and parameter gradients keyed by name. A
+GradPair unpacks as (output, backward).
 
 Every backward keeps nothing but the op's input, by reference (safe,
 because tensors are read-only), and its own output; anything else it
@@ -142,9 +142,9 @@ def _checked(root: "Layer", name: str, value: np.ndarray, state: bool):
 class Layer:
     """Base of every layer. Every layer implements
 
-        apply(x, training) -> (y, vjp)   vjp(dy) -> (dx, {param_name: grad})
+        apply(x, training) -> GradPair(y, vjp)   vjp(dy) -> (dx, {param_name: grad})
 
-    x and y are Tensors; dy, dx and the gradients are plain ndarrays. A
+    x and y are Tensors; dy (of y's shape only), dx and grads are ndarrays. A
     composite lists its named `children()`, in the order its forward runs
     them. A leaf lists its parameter `slots()`, the names of the array
     attributes it reads (batch norm also lists its running statistics in
@@ -257,7 +257,7 @@ def _chain(layers, x: Tensor, training: bool):
             vjps.append((name, vjp))
         del vjp  # in eval, the layer's input dies before the next child runs
     if not training:
-        return x, None
+        return GradPair(x, None)
 
     def vjp(dy):
         grads: dict[str, np.ndarray] = {}
@@ -270,7 +270,7 @@ def _chain(layers, x: Tensor, training: bool):
         return dy, grads
 
     vjp.checked_dx = bool(vjps)  # an empty chain returns dy unchecked
-    return x, vjp
+    return GradPair(x, vjp)
 
 
 def _rescale(x: Tensor, gate, training: bool):
@@ -279,14 +279,12 @@ def _rescale(x: Tensor, gate, training: bool):
     eval) is dy*g plus the gate's vjp of sum_hw dy*x."""
     g, gate_vjp = _chain(gate, x, training)
     y = _wrap(x.data * g.data)
-    if not training:
-        return y, None
 
     def vjp(dy):
         dx_gate, grads = gate_vjp((dy * x.data).sum(axis=(2, 3), keepdims=True))
         return dy * g.data + dx_gate, grads
 
-    return y, vjp
+    return GradPair(y, vjp if training else None)
 
 
 @dataclass(eq=False)
@@ -361,9 +359,9 @@ class Conv2dParams(Layer):
 @dataclass(eq=False)
 class LinearParams(Layer):
     """Affine map, a leaf layer: weight (out_features, in_features), optional
-    bias. It maps a (N, C, 1, 1) tensor; its vjp also takes a (N, out) array.
-    The constructor admits both by `tensor._admit`, naming the slot, and
-    keeps a float64 array without a copy."""
+    bias. It maps a (N, C, 1, 1) tensor to (N, out, 1, 1). The constructor
+    admits both by `tensor._admit`, naming the slot, and keeps a float64
+    array without a copy."""
 
     weight: np.ndarray
     bias: np.ndarray | None = None
@@ -512,10 +510,25 @@ class GlobalAvgPool(Layer):
 
 @dataclass
 class GradPair:
-    """Forward output plus the matching vector-Jacobian product."""
+    """Forward output plus the matching vector-Jacobian product (None in
+    eval), the one contract for an upstream gradient: a backward takes dy
+    only in the output's shape, else a ValueError names both shapes. The
+    checked backward keeps the `checked_dx` flag `_chain` sets."""
 
     output: Tensor
-    backward: Callable[[np.ndarray], tuple[np.ndarray, ParamGrads]]
+    backward: Callable[[np.ndarray], tuple[np.ndarray, ParamGrads]] | None
+
+    def __post_init__(self) -> None:
+        backward, shape = self.backward, self.output.shape  # the closure holds no output
+
+        def checked(dy: np.ndarray):
+            if dy.shape != shape:
+                raise ValueError(f"upstream gradient shape {dy.shape} != {shape}")
+            return backward(dy)
+
+        if backward is not None:
+            checked.checked_dx = getattr(backward, "checked_dx", False)
+            self.backward = checked
 
     def __iter__(self):  # unpacks as a layer's (y, vjp)
         return iter((self.output, self.backward))
@@ -678,11 +691,8 @@ def conv2d(x: Tensor, p: Conv2dParams) -> GradPair:
     out, vjp = _conv(x.data, p.weight.data, p.groups, p.stride, p.padding)
     if p.bias is not None:
         out = out + p.bias[None, :, None, None]
-    out_shape = out.shape
 
     def backward(dy: np.ndarray):
-        if dy.shape != out_shape:
-            raise ValueError(f"upstream gradient shape {dy.shape} != {out_shape}")
         dx, dw = vjp(dy)
         grads: ParamGrads = {"weight": dw}
         if p.bias is not None:
@@ -704,7 +714,7 @@ def global_avg_pool(x: Tensor) -> GradPair:
 
 def linear(x: Tensor, p: LinearParams) -> GradPair:
     """Affine map per sample, from a (N, C, 1, 1) tensor to (N, out, 1, 1);
-    the backward takes dy and returns dx in those same shapes."""
+    the backward takes dy in the output's shape and returns dx in x's."""
     if (x.h, x.w) != (1, 1):
         raise ValueError(f"linear expects (N, C, 1, 1), got {x.shape}")
     if x.c != p.in_features:

@@ -229,7 +229,7 @@ class PsaParams(Layer):
 
 
 def _se_weight_grad(x: Tensor, p: SeWeightParams, training: bool = True) -> GradPair:
-    return GradPair(*_chain(p.children(), x, training))
+    return _chain(p.children(), x, training)
 
 
 def se_weight(x: Tensor, p: SeWeightParams) -> Tensor:
@@ -243,9 +243,9 @@ def spc_forward(x: Tensor, p: PsaParams) -> list[Tensor]:
 
 
 def psa_with_grad(x: Tensor, p: PsaParams, training: bool = True) -> GradPair:
-    """Full PSA forward: the branch convs, stacked, reweighted by `_rescale`
-    (module docstring), every part run in `training` (backward None in eval).
-    Gradients are keyed "branch{i}.weight" and "se.fc0/fc1.weight/bias" by
+    """Full PSA forward: the branch convs, stacked, reweighted by `_rescale`, every
+    part run in `training`; the backward (None in eval) takes dy only in the output's
+    shape. Gradients are keyed "branch{i}.weight" and "se.fc0/fc1.weight/bias" by
     the chain each part runs in; the shared SE weighter's sum over all scales."""
     nodes, s = p.children(), p.config.scales
     ys, branch_vjps = zip(*[_chain([branch], x, training) for branch in nodes[:s]])
@@ -255,13 +255,8 @@ def psa_with_grad(x: Tensor, p: PsaParams, training: bool = True) -> GradPair:
     stack = Tensor(None, _trusted=feats.reshape(-1, *shape[2:]))  # each map was checked finite
     y, rescale_vjp = _rescale(stack, nodes[s:], training)
     out = Tensor(None, _trusted=y.data.reshape(shape[0], -1, *shape[3:]))
-    if not training:
-        return GradPair(out, None)
-    out_shape = out.shape  # the closure holds neither the output nor x
 
-    def backward(dy: np.ndarray):
-        if dy.shape != out_shape:
-            raise ValueError(f"upstream gradient shape {dy.shape} != {out_shape}")
+    def backward(dy: np.ndarray):  # holds neither the output nor x
         dfeats, grads = rescale_vjp(dy.reshape(-1, *shape[2:]))
         dfeats = dfeats.reshape(shape)
         dx = 0.0
@@ -271,7 +266,7 @@ def psa_with_grad(x: Tensor, p: PsaParams, training: bool = True) -> GradPair:
             dx = dx + dxi
         return dx, grads
 
-    return GradPair(out, backward)
+    return GradPair(out, backward if training else None)
 
 
 def psa_forward(x: Tensor, p: PsaParams) -> Tensor:

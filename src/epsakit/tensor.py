@@ -49,9 +49,10 @@ class NonFiniteError(ValueError):
 class Tensor:
     """Immutable 4-D float64 array in row-major (N, C, H, W) order.
 
-    `Tensor(data)` copies data, then admits it by `_admit`: complex, bool,
+    `Tensor(data)` admits data by `_admit`, then copies it: complex, bool,
     string or object data is a ValueError naming the dtype, integer data is
-    cast, NaN or Inf is a NonFiniteError. Every dimension must be positive.
+    cast, NaN or Inf is a NonFiniteError; a Tensor is copied unscanned.
+    Every dimension must be positive.
     """
 
     __slots__ = ("_data",)
@@ -61,7 +62,7 @@ class Tensor:
             # Freeze a view so the caller's own array keeps its flags.
             arr = _trusted.view()
         else:
-            arr = _admit("tensor data", np.array(data, order="C"), (None,) * 4)
+            arr = np.array(_admit("tensor data", data, (None,) * 4))
             if min(arr.shape) <= 0:
                 raise ValueError(f"tensor dimensions must be positive, got {arr.shape}")
         arr.setflags(write=False)

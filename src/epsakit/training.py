@@ -104,10 +104,12 @@ class TrainingDiverged(RuntimeError):
 
 
 def label_smoothed_ce(logits: np.ndarray, labels: np.ndarray, alpha: float):
-    """Cross-entropy against (1-a)*onehot + a/K targets.
+    """Cross-entropy against (1-a)*onehot + a/K targets; a outside [0, 1) is a ValueError.
 
     Returns (loss, dloss/dlogits); the gradient is averaged over the batch.
     """
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"label smoothing alpha {alpha} outside [0, 1)")
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     n, k = logits.shape

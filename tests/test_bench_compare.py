@@ -89,10 +89,12 @@ def test_writes_medians_wins_and_raw_values(fake_repo, tmp_path):
     assert (step["parent_median"], step["child_median"]) == (102.0, 92.0)
     assert step["parent_iqr"] == pytest.approx(1.0)
     assert (step["child_won"], step["parent_won"], step["ties"]) == (3, 0, 0)
+    assert step["outside_parent_iqr"] is True
     rate = report["results"]["train_toy"]["metrics"]["images_per_s"]
     assert rate["better"] == "higher" and rate["child_won"] == 3
     rss = report["results"]["eval_resnet50"]["metrics"]["peak_rss_mb"]
     assert (rss["child_won"], rss["parent_won"], rss["ties"]) == (0, 0, 3)
+    assert rss["outside_parent_iqr"] is False
 
     calls = (tmp_path / "calls.log").read_text().split("\n")[:-1]
     firsts = [line.split()[2] for line in calls[::2]]

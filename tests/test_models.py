@@ -1,11 +1,15 @@
 """Block and network builders: shapes, structure, config round-trips."""
 
+import copy
 import json
+import re
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsakit import defaults, models, ops
 from epsakit.models import (
@@ -270,6 +274,54 @@ class TestConfigSchema:
         cfg = {"stages": [{"repeats": 1, "mid_channels": 32, "kind": "resnet", "se_reduction": 4}]}
         with pytest.raises(ValueError, match="'se_reduction'"):
             config_to_spec(cfg)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_json_is_parsed_or_refused_by_value_or_key_error(self, data):
+        """Every field is typed before arithmetic or a comparison reads it,
+        so no JSON value anywhere in a config raises another error type."""
+        cfg = copy.deepcopy(_VALID_CONFIG)
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(_json_paths(cfg))))
+            value = data.draw(_JSON_VALUES)
+            if not path:
+                cfg = value
+                continue
+            owner = cfg
+            for key in path[:-1]:
+                owner = owner[key]
+            owner[path[-1]] = value
+        try:
+            config_to_spec(cfg)
+        except (ValueError, KeyError):
+            pass
+
+
+_VALID_CONFIG = {
+    "name": "fuzz", "num_classes": 3, "stem_channels": 16,
+    "stages": [
+        {"repeats": 1, "mid_channels": 16, "kind": "epsa", "out_channels": 64,
+         "psa": {"scales": 4, "kernels": [3, 5, 7, 9], "groups": [1, 2, 2, 4], "se_reduction": 4}},
+        {"repeats": 2, "mid_channels": 8, "kind": "se", "out_channels": 32, "se_reduction": 4},
+        {"repeats": 1, "mid_channels": 8, "kind": "resnet"},
+    ],
+}
+_FIELD_NAMES = sorted({*models._MODEL_FIELDS, *models._STAGE_FIELDS, *models._PSA_FIELDS})
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats(-1e3, 1e3) | st.text(max_size=4)
+    | st.sampled_from(["resnet", "se", "epsa"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_FIELD_NAMES) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _json_paths(value, path=()):
+    """Every path into a JSON value, the root's () first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, (*path, key))
 
 
 class TestAblation:
@@ -573,6 +625,47 @@ class TestTreeIsWhatRuns:
         if training:
             vjp(np.ones(logits.shape))
         assert applied == set(_walk(net))
+
+
+def _contract_cases():
+    """(id, layer, input shape, training, a dy shape that broadcasts against
+    the output or has its size but not its shape)."""
+    psa_cfg = PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2))
+    return [
+        ("relu", ops.ReLU(), (2, 3, 4, 4), True, (3, 4, 4)),
+        ("sigmoid", ops.Sigmoid(), (2, 3, 4, 4), True, (1, 3, 4, 4)),
+        ("global_avg_pool", ops.GlobalAvgPool(), (2, 3, 4, 4), True, (1, 3, 1, 1)),
+        ("batch_norm.train", ops.BatchNormParams.init(3), (2, 3, 4, 4), True, (1, 3, 4, 4)),
+        ("batch_norm.eval", ops.BatchNormParams.init(3), (2, 3, 4, 4), False, (1, 3, 4, 4)),
+        ("max_pool", ops.MaxPool(3, 2, 1), (1, 2, 8, 8), True, (1, 2, 2, 8)),
+        ("linear", ops.LinearParams.init(6, 4, seed=0), (3, 6, 1, 1), True, (3, 4)),
+        ("scale_softmax", ops.ScaleSoftmax(4), (8, 3, 1, 1), True, (2, 12, 1, 1)),
+        ("conv2d", ops.Conv2dParams.init(4, 4, 3, padding=1, seed=0), (1, 4, 4, 6), True, (1, 4, 6, 4)),
+        ("se_scale", models.SeScale.init(16, 4, seed=0, bias=False), (2, 16, 3, 3), True, (1, 16, 3, 3)),
+        ("psa", models.Psa.init(psa_cfg, seed=0), (1, 8, 4, 6), True, (1, 8, 6, 4)),
+        ("bottleneck", build_block(small_epsa_block_spec(), in_channels=8, seed=0), (1, 8, 4, 4), True, (32, 4, 4)),
+    ]
+
+
+class TestUpstreamGradientContract:
+    """Every backward takes dy only in its output's shape; `GradPair`
+    refuses any other, a broadcastable or a reshaped one included."""
+
+    @pytest.mark.parametrize("layer, x_shape, training, bad", [
+        pytest.param(*case[1:], id=case[0]) for case in _contract_cases()
+    ])
+    def test_wrong_shaped_dy_is_refused(self, layer, x_shape, training, bad):
+        y, vjp = layer.apply(random_uniform(x_shape, seed=1, low=-1.0), training)
+        with pytest.raises(ValueError, match=re.escape(f"upstream gradient shape {bad} != {y.shape}")):
+            vjp(np.ones(bad))
+
+    @pytest.mark.parametrize("bad", [(4, 2), (8,)], ids=["transposed", "flat"])
+    def test_network_vjp_takes_dlogits_only_as_n_by_classes(self, bad):
+        net = build_toy_epsanet(num_classes=4, **defaults.TOY_MODEL).net
+        logits, vjp = net.apply(random_uniform((2, 3, 32, 32), seed=0), training=True)
+        assert logits.shape == (2, 4)
+        with pytest.raises(ValueError, match=re.escape(f"upstream gradient shape {bad} != (2, 4)")):
+            vjp(np.ones(bad))
 
 
 class TestNonFiniteNaming:

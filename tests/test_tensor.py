@@ -23,6 +23,13 @@ class TestConstruction:
         a[0, 0, 0, 0] = 99.0
         assert t.data[0, 0, 0, 0] == 1.0
 
+    def test_copies_a_tensor(self):
+        t = tc.random_uniform((1, 3, 4, 4), seed=0)
+        u = Tensor(t)
+        assert np.array_equal(u.data, t.data)
+        assert not np.shares_memory(u.data, t.data)
+        assert not u.data.flags.writeable
+
     def test_read_only(self):
         t = Tensor(np.zeros((1, 1, 2, 2)))
         with pytest.raises(ValueError):

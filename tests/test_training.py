@@ -55,6 +55,13 @@ class TestLabelSmoothedCE:
         with pytest.raises(ValueError):
             label_smoothed_ce(np.zeros((2, 3)), np.array([0, 3]), 0.1)
 
+    @pytest.mark.parametrize("alpha", [-0.1, 1.0, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        """The range `TrainConfig.label_smoothing` enforces; outside it the
+        targets have negative entries."""
+        with pytest.raises(ValueError, match="alpha"):
+            label_smoothed_ce(np.zeros((2, 3)), np.array([0, 1]), alpha)
+
 
 class TestSgdStep:
     def test_noop_with_zero_everything(self):

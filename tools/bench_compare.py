@@ -12,11 +12,14 @@ on both sides alike.
 
 From each run it reads the last line of standard output, one JSON object
 {correct, attempted, failed, metrics}, and the `context: {...}` line (BLAS,
-load, steal). It writes BENCH_<N>.json at the repository root, holding, per workload and metric, both medians, the
-parent's interquartile range, the pairs each side won (a tie counts for
-neither) and every raw value; both SHAs; each tree's `src/` line count,
-`src_lines`, as `wc -l src/epsakit/*.py` totals it; the host context; and
-which workloads and how many pairs ran. Whether lower or higher is better comes
+load, steal). It writes BENCH_<N>.json at the repository root, holding, per
+workload and metric, both medians, the parent's interquartile range,
+`outside_parent_iqr` (whether the medians differ by more than that range; a
+move inside it is unresolved, not a change, and the printed summary tags it
+so), the pairs each side won (a tie counts for neither) and every raw value;
+both SHAs; each tree's `src/` line count, `src_lines`, as
+`wc -l src/epsakit/*.py` totals it; the host context; and which workloads
+and how many pairs ran. Whether lower or higher is better comes
 from the child tree's BENCHMARK.json, or else from the metric's name (a
 rate, `*per_s`, is better higher).
 
@@ -102,8 +105,9 @@ def better_directions(tree: Path) -> dict[str, str]:
 
 
 def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
-    """Per metric: medians, the parent's IQR, pairs won and the raw values,
-    over the pairs in which both runs were ok."""
+    """Per metric: medians, the parent's IQR and whether the medians differ
+    by more than it, pairs won and the raw values, over the pairs in which
+    both runs were ok."""
     good = [p for p in pairs if p["parent"]["ok"] and p["child"]["ok"]]
     names = sorted({n for p in good for side in SIDES for n in p[side]["metrics"]})
     out = {}
@@ -119,12 +123,14 @@ def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
         parent_med, child_med = (statistics.median(raw[side]) for side in SIDES)
         q = (statistics.quantiles(raw["parent"], n=4, method="inclusive") if len(both) > 1
              else [parent_med] * 3)
+        iqr = q[2] - q[0]
         out[name] = {
             "better": better,
             "parent_median": parent_med,
             "child_median": child_med,
             "change": child_med / parent_med - 1 if parent_med else None,
-            "parent_iqr": q[2] - q[0],
+            "parent_iqr": iqr,
+            "outside_parent_iqr": abs(child_med - parent_med) > iqr,
             "pairs": len(both),
             "child_won": child_won,
             "parent_won": parent_won,
@@ -204,8 +210,9 @@ def main(argv: list[str] | None = None) -> int:
         for name in ("step_ms_p50", "setup_s", "peak_rss_mb"):
             m = res["metrics"].get(name)
             if m:
+                tag = "" if m["outside_parent_iqr"] else ", unresolved"
                 print(f"{w:<22s} {name:<12s} {m['parent_median']:>10.4g} -> {m['child_median']:>10.4g}"
-                      f"  child won {m['child_won']}/{m['pairs']}")
+                      f"  (parent IQR {m['parent_iqr']:.4g}{tag})  child won {m['child_won']}/{m['pairs']}")
     if report["failed_runs"]:
         print(f"{len(report['failed_runs'])} run(s) failed or read incorrect; see {out}", file=sys.stderr)
         return 1
