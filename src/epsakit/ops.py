@@ -144,7 +144,10 @@ class Layer:
 
         apply(x, training) -> GradPair(y, vjp)   vjp(dy) -> (dx, {param_name: grad})
 
-    x and y are Tensors; dy (of y's shape only), dx and grads are ndarrays. A
+    x and y are Tensors; dy (of y's shape only), dx and grads are ndarrays.
+    A leaf builds its vjp in either mode, and in eval `_chain` drops it
+    before the next child runs; a composite's eval vjp is None
+    (`tests/test_protocol.py` holds every layer class to the protocol). A
     composite lists its named `children()`, in the order its forward runs
     them. A leaf lists its parameter `slots()`, the names of the array
     attributes it reads (batch norm also lists its running statistics in
@@ -510,10 +513,12 @@ class GlobalAvgPool(Layer):
 
 @dataclass
 class GradPair:
-    """Forward output plus the matching vector-Jacobian product (None in
-    eval), the one contract for an upstream gradient: a backward takes dy
-    only in the output's shape, else a ValueError names both shapes. The
-    checked backward keeps the `checked_dx` flag `_chain` sets."""
+    """Forward output plus the matching vector-Jacobian product, the one
+    contract for an upstream gradient: a backward takes dy only in the
+    output's shape, else a ValueError names both shapes. The checked
+    backward keeps the `checked_dx` flag `_chain` sets. A leaf builds its
+    backward in either mode (`Layer` states the rule); a composite's is
+    None in eval."""
 
     output: Tensor
     backward: Callable[[np.ndarray], tuple[np.ndarray, ParamGrads]] | None

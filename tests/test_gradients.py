@@ -6,6 +6,7 @@ import pytest
 from epsakit import ops
 from epsakit.gradcheck import SCOPES, _Suite, run_suite, report_text
 from epsakit.ops import Conv2dParams
+from epsakit.psa import PsaConfig, PsaParams, psa_with_grad
 from epsakit.tensor import Tensor
 
 
@@ -78,9 +79,6 @@ def test_wrong_sigmoid_backward_fails_suite(monkeypatch):
 
 
 def test_zero_upstream_gives_zero_grads():
-    from epsakit.psa import PsaConfig, PsaParams, psa_with_grad
-    from epsakit.tensor import Tensor
-
     cfg = PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2))
     params = PsaParams.init(cfg, seed=5)
     x = Tensor(np.random.default_rng(6).standard_normal((1, 8, 4, 4)))
@@ -91,9 +89,6 @@ def test_zero_upstream_gives_zero_grads():
 
 
 def test_branch_weight_gradient_nonzero():
-    from epsakit.psa import PsaConfig, PsaParams, psa_with_grad
-    from epsakit.tensor import Tensor
-
     cfg = PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2))
     params = PsaParams.init(cfg, seed=8)
     x = Tensor(np.random.default_rng(9).standard_normal((1, 8, 4, 4)))

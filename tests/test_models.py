@@ -2,7 +2,6 @@
 
 import copy
 import json
-import re
 import tracemalloc
 import weakref
 
@@ -23,7 +22,7 @@ from epsakit.models import (
     forward,
     spec_to_config,
 )
-from epsakit.psa import PsaConfig, SeWeightParams
+from epsakit.psa import PsaConfig
 from epsakit.tensor import NonFiniteError, Tensor, random_uniform
 
 
@@ -489,7 +488,6 @@ class TestLayerProtocol:
         for name in net.params():
             assert (name in decay) == name.endswith(".weight"), name
 
-
     def test_block_param_and_state_names_pinned(self):
         """Checkpoints key on these names, in this order."""
         epsa = build_block(small_epsa_block_spec(), in_channels=16, stride=2, seed=0)
@@ -514,16 +512,8 @@ class TestEvalKeepsNothing:
     """An eval forward builds no backward: nothing holds every activation
     until the logits return."""
 
-    @staticmethod
-    def toy_net():
-        return build_toy_epsanet(num_classes=4, **defaults.TOY_MODEL).net
-
-    def test_eval_apply_returns_no_vjp(self):
-        logits, vjp = self.toy_net().apply(random_uniform((2, 3, 32, 32), seed=0), training=False)
-        assert vjp is None and logits.shape == (2, 4)
-
     def test_eval_forward_peak_budget(self):
-        net = self.toy_net()
+        net = build_toy_epsanet(num_classes=4, **defaults.TOY_MODEL).net
         x = random_uniform((8, 3, 64, 64), seed=0)
         _, rows = net.complexity(x.shape)
         largest = 8 * max(int(np.prod(r.output_shape)) for r in rows)
@@ -554,118 +544,6 @@ class TestEvalKeepsNothing:
 
         models._chain([("keeps", Keeps()), ("probe", Probe())], random_uniform((1, 1, 1, 1), seed=0), False)
         assert len(held) == 1
-
-    def test_se_scale_eval_returns_no_vjp(self):
-        se = models.SeScale.init(16, 4, seed=0, bias=False)
-        x = random_uniform((2, 16, 3, 3), seed=1)
-        y, vjp = se.apply(x, training=False)
-        assert vjp is None
-        y_train, _ = se.apply(x, training=True)
-        assert np.array_equal(y.data, y_train.data)
-
-    @pytest.mark.parametrize("build", [
-        lambda: models.Psa.init(PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2)), seed=0),
-        lambda: SeWeightParams.init(8, 4, seed=0),
-    ], ids=["psa", "se_weight"])
-    def test_psa_and_se_weight_eval_return_no_vjp(self, build):
-        layer = build()
-        x = random_uniform((2, 8, 5, 5), seed=1)
-        y, vjp = layer.apply(x, training=False)
-        assert vjp is None
-        y_train, _ = layer.apply(x, training=True)
-        assert np.array_equal(y.data, y_train.data)
-
-    @pytest.mark.parametrize("build", [
-        lambda: build_toy_epsanet(num_classes=4, **defaults.TOY_MODEL),
-        lambda: build_from_config({"name": "se1", "num_classes": 3, "stem_channels": 16, "stages": [
-            {"repeats": 1, "mid_channels": 8, "kind": "se", "se_reduction": 4}]}),
-    ], ids=["epsa_toy", "se_one_stage"])
-    def test_eval_forward_applies_every_layer_in_eval(self, build):
-        """training means one thing at every depth: an eval forward applies
-        every layer of the tree, down to the SE weighter's ops, with False."""
-        net = build().net
-        layers = set(_walk(net))  # a shared instance (a ReLU, psa's _GAP) once
-        calls = []
-        for layer in layers:
-            layer.apply = _recording(layer, calls)
-        try:
-            net.apply(random_uniform((2, 3, 32, 32), seed=0), training=False)
-        finally:
-            for layer in layers:
-                del layer.apply
-        assert {layer for layer, _ in calls} == layers
-        assert [layer for layer, training in calls if training] == []
-
-
-class TestTreeIsWhatRuns:
-    """Every layer a forward applies is a node of the tree `children()`
-    spans, and every node is applied: tree walks and `_chain` see the same
-    layers."""
-
-    @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
-    @pytest.mark.parametrize("build", [
-        lambda: build_toy_epsanet(num_classes=4, **defaults.TOY_MODEL),
-        lambda: build_from_config({"name": "se1", "num_classes": 3, "stem_channels": 16, "stages": [
-            {"repeats": 1, "mid_channels": 8, "kind": "se", "se_reduction": 4}]}),
-    ], ids=["epsa_toy", "se_one_stage"])
-    def test_applied_layers_are_the_tree(self, monkeypatch, build, training):
-        applied = set()
-
-        def recording(apply):
-            def wrapped(layer, x, training):
-                applied.add(layer)
-                return apply(layer, x, training)
-            return wrapped
-
-        for cls in _subclasses(ops.Layer):
-            if "apply" in vars(cls):
-                monkeypatch.setattr(cls, "apply", recording(vars(cls)["apply"]))
-        net = build().net
-        logits, vjp = net.apply(random_uniform((2, 3, 32, 32), seed=0), training=training)
-        if training:
-            vjp(np.ones(logits.shape))
-        assert applied == set(_walk(net))
-
-
-def _contract_cases():
-    """(id, layer, input shape, training, a dy shape that broadcasts against
-    the output or has its size but not its shape)."""
-    psa_cfg = PsaConfig(8, 4, (3, 5, 7, 9), (1, 2, 2, 2))
-    return [
-        ("relu", ops.ReLU(), (2, 3, 4, 4), True, (3, 4, 4)),
-        ("sigmoid", ops.Sigmoid(), (2, 3, 4, 4), True, (1, 3, 4, 4)),
-        ("global_avg_pool", ops.GlobalAvgPool(), (2, 3, 4, 4), True, (1, 3, 1, 1)),
-        ("batch_norm.train", ops.BatchNormParams.init(3), (2, 3, 4, 4), True, (1, 3, 4, 4)),
-        ("batch_norm.eval", ops.BatchNormParams.init(3), (2, 3, 4, 4), False, (1, 3, 4, 4)),
-        ("max_pool", ops.MaxPool(3, 2, 1), (1, 2, 8, 8), True, (1, 2, 2, 8)),
-        ("linear", ops.LinearParams.init(6, 4, seed=0), (3, 6, 1, 1), True, (3, 4)),
-        ("scale_softmax", ops.ScaleSoftmax(4), (8, 3, 1, 1), True, (2, 12, 1, 1)),
-        ("conv2d", ops.Conv2dParams.init(4, 4, 3, padding=1, seed=0), (1, 4, 4, 6), True, (1, 4, 6, 4)),
-        ("se_scale", models.SeScale.init(16, 4, seed=0, bias=False), (2, 16, 3, 3), True, (1, 16, 3, 3)),
-        ("psa", models.Psa.init(psa_cfg, seed=0), (1, 8, 4, 6), True, (1, 8, 6, 4)),
-        ("bottleneck", build_block(small_epsa_block_spec(), in_channels=8, seed=0), (1, 8, 4, 4), True, (32, 4, 4)),
-    ]
-
-
-class TestUpstreamGradientContract:
-    """Every backward takes dy only in its output's shape; `GradPair`
-    refuses any other, a broadcastable or a reshaped one included."""
-
-    @pytest.mark.parametrize("layer, x_shape, training, bad", [
-        pytest.param(*case[1:], id=case[0]) for case in _contract_cases()
-    ])
-    def test_wrong_shaped_dy_is_refused(self, layer, x_shape, training, bad):
-        y, vjp = layer.apply(random_uniform(x_shape, seed=1, low=-1.0), training)
-        with pytest.raises(ValueError, match=re.escape(f"upstream gradient shape {bad} != {y.shape}")):
-            vjp(np.ones(bad))
-
-    @pytest.mark.parametrize("bad", [(4, 2), (8,)], ids=["transposed", "flat"])
-    def test_network_vjp_takes_dlogits_only_as_n_by_classes(self, bad):
-        net = build_toy_epsanet(num_classes=4, **defaults.TOY_MODEL).net
-        logits, vjp = net.apply(random_uniform((2, 3, 32, 32), seed=0), training=True)
-        assert logits.shape == (2, 4)
-        with pytest.raises(ValueError, match=re.escape(f"upstream gradient shape {bad} != (2, 4)")):
-            vjp(np.ones(bad))
 
 
 class TestNonFiniteNaming:
@@ -702,81 +580,6 @@ class TestNonFiniteNaming:
         with pytest.raises(NonFiniteError) as info:
             net.apply(random_uniform((1, 3, 32, 32), seed=0), training=False)
         assert (info.value.layer, info.value.phase) == ("layer1.0.conv2.softmax", "forward")
-
-    @pytest.mark.parametrize("phase", ["forward", "backward"])
-    @pytest.mark.parametrize("build", [
-        lambda: build_toy_epsanet(num_classes=4, **defaults.TOY_MODEL),
-        lambda: build_from_config({"name": "se1", "num_classes": 3, "stem_channels": 16, "stages": [
-            {"repeats": 1, "mid_channels": 8, "kind": "se", "se_reduction": 4}]}),
-    ], ids=["epsa_toy", "se_one_stage"])
-    def test_every_ledger_row_fails_under_its_own_name(self, build, phase):
-        """Each complexity row's layer in turn raises NonFiniteError in one
-        pass; the error must name that row, so every row runs as a child."""
-        net = build().net
-        x = random_uniform((2, 3, 32, 32), seed=0)
-        _, rows = net.complexity(x.shape)
-        named = []
-        for row in rows:
-            layer = _resolve(net, row.name)
-            layer.apply = _failing(layer.apply, phase)
-            try:
-                with pytest.raises(NonFiniteError) as info:
-                    logits, vjp = net.apply(x, training=True)
-                    vjp(np.ones_like(logits))
-            finally:
-                del layer.apply
-            named.append((info.value.layer, info.value.phase))
-        assert named == [(row.name, phase) for row in rows]
-
-
-def _walk(layer):
-    """layer and every layer below it, down children()."""
-    yield layer
-    for _, child in layer.children():
-        yield from _walk(child)
-
-
-def _subclasses(cls):
-    """Every subclass of cls, at any depth."""
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from _subclasses(sub)
-
-
-def _recording(layer, calls: list):
-    """layer.apply, made to append (layer, training) to calls first."""
-    apply = layer.apply
-
-    def recording(x, training):
-        calls.append((layer, training))
-        return apply(x, training)
-
-    return recording
-
-
-def _resolve(layer, name: str):
-    """The layer at dotted name below layer, found down children()."""
-    for cname, child in layer.children():
-        if name == cname:
-            return child
-        if name.startswith(cname + "."):
-            return _resolve(child, name[len(cname) + 1:])
-    raise KeyError(name)
-
-
-def _failing(apply, phase: str):
-    """apply, made to raise NonFiniteError in its forward or in its vjp."""
-    def failing(x, training):
-        if phase == "forward":
-            raise NonFiniteError("injected")
-        y, _ = apply(x, training)
-
-        def vjp(dy):
-            raise NonFiniteError("injected")
-
-        return y, vjp
-
-    return failing
 
 
 def _composites(layer, path="network"):

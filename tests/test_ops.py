@@ -50,13 +50,6 @@ class TestConv2d:
         assert p.weight.size == 16 * (16 // 4) * 25 == 1600
         assert p.param_count == 1600
 
-    def test_backward_refuses_a_reshaped_upstream_gradient(self):
-        """A dy of the output's size but not its shape is refused by name."""
-        p = Conv2dParams.init(8, 8, 3, padding=1)
-        _, vjp = ops.conv2d(Tensor(np.zeros((1, 8, 4, 6))), p)
-        with pytest.raises(ValueError, match=r"upstream gradient shape \(1, 8, 6, 4\) != \(1, 8, 4, 6\)"):
-            vjp(np.zeros((1, 8, 6, 4)))
-
     def test_channel_mismatch_rejected(self):
         p = Conv2dParams.init(4, 4, 3)
         with pytest.raises(ValueError):
@@ -603,31 +596,10 @@ class TestConvAdjoint:
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def _conv_case(cin, cout, k, stride=1, groups=1, hw=56):
-    def make(rng):
-        p = Conv2dParams.init(cin, cout, k, stride, (k - 1) // 2, groups, seed=rng)
-        return (1, cin, hw, hw), lambda x: ops.conv2d(x, p)
-
-    return make
-
-
-# (input shape, op) per op kind the models chain, convs of both strategies.
-RETAINING_CASES = {
-    "relu": lambda rng: ((1, 64, 56, 56), ops.relu),
-    "conv1x1": _conv_case(64, 256, 1),
-    "conv1x1s2": _conv_case(256, 512, 1, stride=2),
-    "conv3x3": _conv_case(64, 64, 3),
-    "stem7x7s2": _conv_case(3, 64, 7, stride=2, hw=224),
-    "narrow-k3g1": _conv_case(64, 16, 3),
-    "narrow-k9g16": _conv_case(64, 16, 9, groups=16),
-    "max_pool": lambda rng: ((1, 64, 112, 112), lambda x: ops.max_pool(x, 3, 2, 1)),
-}
-
-
 class TestAllocationBudget:
     """Batch norm and max pool allocate their output and little else that
-    scales with the activation, and every op keeps only its output after
-    its forward (its input is the caller's); these budgets keep a later
+    scales with the activation, and `test_protocol.py` holds each op to
+    keeping only its output after its forward; these budgets keep a later
     edit from quietly bringing the temporaries back."""
 
     @staticmethod
@@ -669,13 +641,3 @@ class TestAllocationBudget:
         x = Tensor(rng.standard_normal((1, 64, 112, 112)))
         gp, peak, _ = self.traced(lambda: ops.max_pool(x, 3, 2, 1))
         assert peak <= 1.25 * gp.output.data.nbytes
-
-    @pytest.mark.parametrize("case", RETAINING_CASES.values(), ids=RETAINING_CASES.keys())
-    def test_retains_only_its_output(self, rng, case):
-        shape, op = case(rng)
-        x = Tensor(rng.standard_normal(shape))
-        gp, _, held = self.traced(lambda: op(x))
-        assert held <= 1.02 * gp.output.data.nbytes
-        # No dx is a view into a larger (padded) buffer.
-        dx, _ = gp.backward(rng.standard_normal(gp.output.shape))
-        assert dx.shape == x.shape and (dx.base is None or dx.base.nbytes == dx.nbytes)
