@@ -122,7 +122,8 @@ class Bottleneck(Layer):
     """Residual bottleneck; the middle op is a 3x3 conv or a PSA module.
 
     `body` is the residual branch, `shortcut` the projection (empty for an
-    identity shortcut); both read the block input.
+    identity shortcut); both read the block input. The residual sum frees
+    their outputs before relu3 allocates its own.
     """
 
     def __init__(self, spec: BlockSpec, in_channels: int, stride: int, rng):
@@ -157,7 +158,9 @@ class Bottleneck(Layer):
     def apply(self, x: Tensor, training: bool):
         h, body_vjp = _chain(self.body, x, training)
         s, shortcut_vjp = _chain(self.shortcut, x, training)
-        y, relu_vjp = _chain([("relu3", self.relu)], _wrap(h.data + s.data), training)
+        pre = _wrap(h.data + s.data)
+        del h, s  # no vjp keeps them: free them before relu3 allocates
+        y, relu_vjp = _chain([("relu3", self.relu)], pre, training)
 
         def vjp(dy):
             dpre, _ = relu_vjp(dy)

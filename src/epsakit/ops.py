@@ -26,11 +26,12 @@ GradPair unpacks as (output, backward).
 Every backward keeps nothing but the op's input, by reference (safe,
 because tensors are read-only), and its own output; anything else it
 needs it rebuilds: batch norm its centred input, the im2col conv its
-columns and the narrowing conv its row stack. Relu keeps only its output
-and masks dy with y > 0; max pool routes each window's dy to the first
-tap whose input equals the output. After its forward an op so holds its
-output and nothing else that scales with the activation; a 1x1 conv at
-stride 1 without padding runs on a view of its input, not a copy.
+columns and the narrowing conv its row stack, a chunk of groups at a time.
+Relu keeps only its output and masks dy with y > 0; max pool routes each
+window's dy to the first tap whose input equals the output. After its
+forward an op so holds its output and nothing else that scales with the
+activation; a 1x1 conv at stride 1 without padding runs on a view of its
+input, not a copy.
 
 No op pads its input. One edge rule, `_taps`, bounds every conv and pool
 on both axes: a kernel tap reads straight from the input over the output
@@ -47,7 +48,8 @@ Convolutions pick one of two strategies in `_conv`, by one rule:
   the adjoint of that forward: two matmuls against the output gradient
   shifted to each kernel column, one with the row stack for dW, one with
   the transposed weight for the row-stack gradient, whose k row slabs add
-  back into the input. No buffer k*k times the input is built.
+  back into the input. The stack, k times the input, is built per chunk
+  of groups of at most `_STACK_BYTES`, never whole.
 - Every other conv runs as grouped matmuls over an im2col buffer, with a
   col2im backward.
 
@@ -631,6 +633,9 @@ def _conv_im2col(x: np.ndarray, w: np.ndarray, g: int, s: int, pad: int):
     return out, vjp
 
 
+_STACK_BYTES = 2 << 20  # the most row-stack bytes `_conv_rows` builds at once, ~L2
+
+
 def _conv_rows(x: np.ndarray, w: np.ndarray, g: int, s: int, pad: int):
     """Weight-first conv for convs that narrow the channels.
 
@@ -639,8 +644,10 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, g: int, s: int, pad: int):
     (G, k*Og, k*Cg) x (N, G, k*Cg, Ho*W); then k shifted adds on the
     narrow output sum the kernel columns. Both axes follow the tap rule:
     kernel row i's slab reads x over its span and is zero elsewhere, and
-    kernel column j adds only into its span. The stack is k times the
-    input, not k*k, and lives only inside one call.
+    kernel column j adds only into its span. Both passes run one chunk of
+    groups at a time, as many (at least one) as keep its stack, k times
+    its input, within `_STACK_BYTES`; a group's matmul is the same in any
+    chunk, so the result does not depend on the split.
     """
     n, cin, h, wd = x.shape
     cout, cin_g, k, _ = w.shape
@@ -650,40 +657,45 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, g: int, s: int, pad: int):
     xg = x.reshape(n, g, cin_g, h, wd)
     row_taps = _taps(k, h, ho, s, pad)
     col_taps = _taps(k, wd, wo, s, pad)
+    step = max(1, _STACK_BYTES // (n * k * cin_g * ho * wd * 8))
+    chunks = [slice(c, min(c + step, g)) for c in range(0, g, step)]
 
-    def row_stack() -> np.ndarray:
-        stack = np.empty((n, g, k, cin_g, ho, wd))
+    def row_stack(c: slice) -> np.ndarray:
+        stack = np.empty((n, c.stop - c.start, k, cin_g, ho, wd))
         for i, (lo, hi, rows) in enumerate(row_taps):
-            stack[:, :, i, :, lo:hi] = xg[:, :, :, rows]
+            stack[:, :, i, :, lo:hi] = xg[:, c, :, rows]
             stack[:, :, i, :, :lo] = stack[:, :, i, :, hi:] = 0.0
-        return stack.reshape(n, g, k * cin_g, ho * wd)
+        return stack.reshape(n, -1, k * cin_g, ho * wd)
 
-    # (G, O, C, i, j) -> (G, j*Og + o, i*Cg + c)
+    # (G, O, C, i, j) -> (G, j*Og + o, i*Cg + c), a view laid out per chunk
     w_cols = w.reshape(g, cout_g, cin_g, k, k).transpose(0, 4, 1, 3, 2)
-    z = np.matmul(w_cols.reshape(g, k * cout_g, k * cin_g), row_stack())
-    z = z.reshape(n, g, k, cout_g, ho, wd)
     out = np.zeros((n, g, cout_g, ho, wo))
-    for j, (lo, hi, cols) in enumerate(col_taps):
-        out[..., lo:hi] += z[:, :, j, :, :, cols]
+    for c in chunks:
+        z = np.matmul(w_cols[c].reshape(-1, k * cout_g, k * cin_g), row_stack(c))
+        z = z.reshape(n, -1, k, cout_g, ho, wd)
+        for j, (lo, hi, cols) in enumerate(col_taps):
+            out[:, c, ..., lo:hi] += z[:, :, j, :, :, cols]
 
     def vjp(d: np.ndarray):
-        # dW is the adjoint of the forward: dy shifted to each kernel
-        # column's input columns, times the row stack.
-        shifted = np.zeros((n, g, k, cout_g, ho, wd))
         dg = d.reshape(n, g, cout_g, ho, wo)
-        for j, (lo, hi, cols) in enumerate(col_taps):
-            shifted[:, :, j, :, :, cols] = dg[..., lo:hi]
-        shifted = shifted.reshape(n, g, k * cout_g, ho * wd)
-        dw = np.matmul(shifted, row_stack().transpose(0, 1, 3, 2)).sum(axis=0)
-        dw = dw.reshape(g, k, cout_g, k, cin_g).transpose(0, 2, 4, 3, 1).reshape(w.shape)
-        # dx is the adjoint too: the weight transposed, times the same
-        # shifted dy, gives the row-stack gradient; each row slab's span
-        # adds back into the input rows it read.
-        dstack = np.matmul(w_cols.reshape(g, k * cout_g, k * cin_g).transpose(0, 2, 1), shifted)
-        dstack = dstack.reshape(n, g, k, cin_g, ho, wd)
+        dw = np.empty((g, k * cout_g, k * cin_g))
         dx = np.zeros((n, g, cin_g, h, wd))
-        for i, (lo, hi, rows) in enumerate(row_taps):
-            dx[:, :, :, rows] += dstack[:, :, i, :, lo:hi]
+        for c in chunks:
+            # dW is the adjoint of the forward: dy shifted to each kernel
+            # column's input columns, times the row stack.
+            shifted = np.zeros((n, c.stop - c.start, k, cout_g, ho, wd))
+            for j, (lo, hi, cols) in enumerate(col_taps):
+                shifted[:, :, j, :, :, cols] = dg[:, c, ..., lo:hi]
+            shifted = shifted.reshape(n, -1, k * cout_g, ho * wd)
+            dw[c] = np.matmul(shifted, row_stack(c).transpose(0, 1, 3, 2)).sum(axis=0)
+            # dx is the adjoint too: the weight transposed, times the same
+            # shifted dy, gives the row-stack gradient; each row slab's span
+            # adds back into the input rows it read.
+            w_c = w_cols[c].reshape(-1, k * cout_g, k * cin_g)
+            dstack = np.matmul(w_c.transpose(0, 2, 1), shifted).reshape(n, -1, k, cin_g, ho, wd)
+            for i, (lo, hi, rows) in enumerate(row_taps):
+                dx[:, c, :, rows] += dstack[:, :, i, :, lo:hi]
+        dw = dw.reshape(g, k, cout_g, k, cin_g).transpose(0, 2, 4, 3, 1).reshape(w.shape)
         return dx.reshape(x.shape), dw
 
     return out.reshape(n, cout, ho, wo), vjp

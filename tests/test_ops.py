@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from epsakit import ops
+from epsakit.models import build_model
 from epsakit.ops import BatchNormParams, Conv2dParams, LinearParams
+from epsakit.psa import PsaConfig, PsaParams, psa_forward
 from epsakit.tensor import NonFiniteError, Tensor, _wrap
 
 from oracles import (
@@ -527,6 +529,24 @@ class TestNarrowingConv:
             got_dx, grads = gp.backward(dy)
             assert np.array_equal(got_dx, dx) and np.array_equal(grads["weight"], dw)
 
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k,g", [(3, 1), (5, 4), (7, 8), (9, 16), (9, 8)])
+    def test_chunks_of_groups_agree_bitwise(self, rng, monkeypatch, k, g, stride, n):
+        """A 1-byte stack budget runs one group per chunk, a huge one all
+        groups in one chunk; out, dx and dW do not depend on the split."""
+        x = rng.standard_normal((n, 64, 7, 9))
+        w = rng.standard_normal((16, 64 // g, k, k))
+        runs = []
+        for budget in (1, 1 << 60):  # a vjp keeps the chunks of its forward
+            monkeypatch.setattr(ops, "_STACK_BYTES", budget)
+            runs.append(ops._conv_rows(x, w, g, stride, (k - 1) // 2))
+        (one, one_vjp), (whole, whole_vjp) = runs
+        dy = rng.standard_normal(one.shape)
+        assert np.array_equal(one, whole)
+        for a, b in zip(one_vjp(dy), whole_vjp(dy)):
+            assert np.array_equal(a, b)
+
     def test_padding_wider_than_kernel(self, rng):
         x = rng.standard_normal((2, 8, 5, 4))
         w = rng.standard_normal((2, 8, 3, 3))
@@ -595,12 +615,30 @@ class TestConvAdjoint:
         ]:
             assert abs(got - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k,g,cin,cout,hw,pad", ADJOINT_CASES)
+    def test_one_group_per_chunk_is_adjoint(self, rng, monkeypatch, k, g, cin, cout, hw, pad, stride):
+        """The same oracle case, with `_conv_rows` crossing a chunk boundary at every group."""
+        monkeypatch.setattr(ops, "_STACK_BYTES", 1)
+        self.test_backward_is_adjoint(rng, "_conv_rows", k, g, cin, cout, hw, pad, stride)
+
+
+MiB = 1 << 20
+
 
 class TestAllocationBudget:
     """Batch norm and max pool allocate their output and little else that
-    scales with the activation, and `test_protocol.py` holds each op to
+    scales with the activation, the narrowing conv builds its row stack
+    one chunk of groups at a time, and `test_protocol.py` holds each op to
     keeping only its output after its forward; these budgets keep a later
-    edit from quietly bringing the temporaries back."""
+    edit from quietly bringing the temporaries back.
+
+    The MiB bounds are fixed from tracemalloc peaks measured on numpy
+    2.4.6, first with the whole row stack built at once and then chunked:
+    PSA's k9g16 64 -> 16 branch conv at 1x64x56x56, 17.27 -> 2.98 forward
+    and 18.80 -> 5.46 backward; `psa_forward` on the same input, 18.42 ->
+    6.20; one eval forward of `epsanet50_small` at 1x224, 27.15 -> 20.20,
+    where the stem's im2col now sets the peak."""
 
     @staticmethod
     def traced(fn):
@@ -641,3 +679,23 @@ class TestAllocationBudget:
         x = Tensor(rng.standard_normal((1, 64, 112, 112)))
         gp, peak, _ = self.traced(lambda: ops.max_pool(x, 3, 2, 1))
         assert peak <= 1.25 * gp.output.data.nbytes
+
+    def test_psa_branch_conv_peak(self, rng):
+        x = Tensor(rng.standard_normal((1, 64, 56, 56)))
+        p = Conv2dParams.init(64, 16, 9, padding=4, groups=16, seed=rng)
+        gp, forward, _ = self.traced(lambda: ops.conv2d(x, p))
+        dy = rng.standard_normal(gp.output.shape)
+        _, backward, _ = self.traced(lambda: gp.backward(dy))
+        assert forward <= 4 * MiB and backward <= 7 * MiB
+
+    def test_psa_forward_peak(self, rng):
+        x = Tensor(rng.standard_normal((1, 64, 56, 56)))
+        p = PsaParams.init(PsaConfig(64), rng)
+        _, peak, _ = self.traced(lambda: psa_forward(x, p))
+        assert peak <= 8 * MiB
+
+    def test_eval_forward_peak_epsanet50_small(self, rng):
+        net = build_model("epsanet50_small").net
+        x = Tensor(rng.standard_normal((1, 3, 224, 224)))
+        _, peak, _ = self.traced(lambda: net.apply(x, False))
+        assert peak <= 23 * MiB
