@@ -7,6 +7,7 @@ desk-scale training harness.
 
 from .tensor import NonFiniteError, Tensor, random_uniform
 from .ops import (
+    BackwardReusedError,
     BatchNormParams,
     Conv2dParams,
     GradPair,

@@ -7,7 +7,9 @@ the object it perturbs. The routine builds the scalar objective
 sum(w * y) with fixed random weights w, drawn afresh for each gradient,
 and compares the closed-form gradient against central differences: first
 the input's, recorded as `name.input`, then that of each parameter in
-`keys`, recorded as `name.<key>`. A parameter is read through
+`keys`, recorded as `name.<key>`. A backward runs once (`ops.GradPair`),
+so each parameter's gradient comes from a fresh `layer.apply(x, training)`
+at the unperturbed parameters. A parameter is read through
 `layer.params()`, perturbed through `layer.set_param` and restored
 bitwise afterwards. Each check reports the max element-wise relative error
 (denominator clamped at `ops.REL_ERROR_CLAMP`, 1e-8). The leaf and
@@ -71,7 +73,7 @@ class _Suite:
         self._compare(f"{name}.input", dx, lambda a: objective(Tensor(a), w), x.data)
         for key in keys:
             w = self._weights(y.shape)
-            _, grads = vjp(w)
+            _, grads = layer.apply(x, training).backward(w)
             original = layer.params()[key].copy()
 
             def perturbed(a: np.ndarray) -> float:

@@ -123,7 +123,8 @@ class Bottleneck(Layer):
 
     `body` is the residual branch, `shortcut` the projection (empty for an
     identity shortcut); both read the block input. The residual sum frees
-    their outputs before relu3 allocates its own.
+    their outputs before relu3 allocates its own; the backward sums the
+    two branches' gradients in place.
     """
 
     def __init__(self, spec: BlockSpec, in_channels: int, stride: int, rng):
@@ -167,7 +168,8 @@ class Bottleneck(Layer):
             dh, grads = body_vjp(dpre)
             ds, g = shortcut_vjp(dpre)
             grads.update(g)
-            return dh + ds, grads
+            dh += ds
+            return dh, grads
 
         return GradPair(y, vjp if training else None)
 

@@ -31,7 +31,10 @@ Relu keeps only its output and masks dy with y > 0; max pool routes each
 window's dy to the first tap whose input equals the output. After its
 forward an op so holds its output and nothing else that scales with the
 activation; a 1x1 conv at stride 1 without padding runs on a view of its
-input, not a copy.
+input, not a copy. A backward runs once (GradPair refuses a second call)
+and drops its closure, with what the forward saved, as it returns; a
+composite's calls each child's in turn, so a training backward frees the
+forward layer by layer as it walks down the tree.
 
 No op pads its input. One edge rule, `_taps`, bounds every conv and pool
 on both axes: a kernel tap reads straight from the input over the output
@@ -77,6 +80,7 @@ __all__ = [
     "BN_EPS",
     "BN_MOMENTUM",
     "GradPair",
+    "BackwardReusedError",
     "conv2d",
     "conv_output_size",
     "global_avg_pool",
@@ -147,8 +151,9 @@ class Layer:
         apply(x, training) -> GradPair(y, vjp)   vjp(dy) -> (dx, {param_name: grad})
 
     x and y are Tensors; dy (of y's shape only), dx and grads are ndarrays.
-    A leaf builds its vjp in either mode, and in eval `_chain` drops it
-    before the next child runs; a composite's eval vjp is None
+    A vjp runs once (`GradPair` states the rule). A leaf builds its vjp in
+    either mode, and in eval `_chain` drops it before the next child
+    runs; a composite's eval vjp is None
     (`tests/test_protocol.py` holds every layer class to the protocol). A
     composite lists its named `children()`, in the order its forward runs
     them. A leaf lists its parameter `slots()`, the names of the array
@@ -252,8 +257,9 @@ def _located(name: str, phase: str):
 
 
 def _chain(layers, x: Tensor, training: bool):
-    """Run (name, layer) pairs in order; the vjp (None in eval) names each gradient and
-    checks each dx once (a nested chain returns its first child's dx, checked there)."""
+    """Run (name, layer) pairs in order; the vjp (None in eval) names each gradient,
+    checks each dx once (a nested chain returns its first child's dx, checked there)
+    and lets go of each child's backward before calling it."""
     vjps = []
     for name, layer in layers:
         with _located(name, "forward"):
@@ -266,7 +272,8 @@ def _chain(layers, x: Tensor, training: bool):
 
     def vjp(dy):
         grads: dict[str, np.ndarray] = {}
-        for name, v in reversed(vjps):
+        while vjps:
+            name, v = vjps.pop()
             with _located(name, "backward"):
                 dy, g = v(dy)
                 if not getattr(v, "checked_dx", False) and not _all_finite(dy):
@@ -281,12 +288,16 @@ def _chain(layers, x: Tensor, training: bool):
 def _rescale(x: Tensor, gate, training: bool):
     """y = x * g, with g of shape (N, C, 1, 1) what the (name, layer) pairs
     gate make of x, run by `_chain`: the SE product rule. The vjp (None in
-    eval) is dy*g plus the gate's vjp of sum_hw dy*x."""
+    eval) is dy*g plus the gate's vjp of sum_hw dy*x; it releases x once
+    it has read it, before the gate's backward runs."""
     g, gate_vjp = _chain(gate, x, training)
     y = _wrap(x.data * g.data)
 
     def vjp(dy):
-        dx_gate, grads = gate_vjp((dy * x.data).sum(axis=(2, 3), keepdims=True))
+        nonlocal x
+        dgate = (dy * x.data).sum(axis=(2, 3), keepdims=True)
+        x = None
+        dx_gate, grads = gate_vjp(dgate)
         return dy * g.data + dx_gate, grads
 
     return GradPair(y, vjp if training else None)
@@ -513,14 +524,21 @@ class GlobalAvgPool(Layer):
         return out_shape, [LayerRow("", 0, 0, out_shape)]
 
 
+class BackwardReusedError(RuntimeError):
+    """A GradPair's backward was called again after it had run: the values
+    it saved are gone. Apply the layer again for another backward."""
+
+
 @dataclass
 class GradPair:
     """Forward output plus the matching vector-Jacobian product, the one
     contract for an upstream gradient: a backward takes dy only in the
-    output's shape, else a ValueError names both shapes. The checked
-    backward keeps the `checked_dx` flag `_chain` sets. A leaf builds its
-    backward in either mode (`Layer` states the rule); a composite's is
-    None in eval."""
+    output's shape, else a ValueError names both shapes, and it runs once.
+    A second call raises `BackwardReusedError`; a refused dy does not use
+    it up. The call drops the closure, and with it everything the forward
+    saved, when it returns. The checked backward keeps the `checked_dx`
+    flag `_chain` sets. A leaf builds its backward in either mode (`Layer`
+    states the rule); a composite's is None in eval."""
 
     output: Tensor
     backward: Callable[[np.ndarray], tuple[np.ndarray, ParamGrads]] | None
@@ -529,9 +547,13 @@ class GradPair:
         backward, shape = self.backward, self.output.shape  # the closure holds no output
 
         def checked(dy: np.ndarray):
+            nonlocal backward
+            if backward is None:
+                raise BackwardReusedError("this backward has already run")
             if dy.shape != shape:
                 raise ValueError(f"upstream gradient shape {dy.shape} != {shape}")
-            return backward(dy)
+            run, backward = backward, None
+            return run(dy)
 
         if backward is not None:
             checked.checked_dx = getattr(backward, "checked_dx", False)

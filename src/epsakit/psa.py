@@ -263,7 +263,7 @@ def psa_with_grad(x: Tensor, p: PsaParams, training: bool = True) -> GradPair:
         for i, vjp in enumerate(branch_vjps):
             dxi, g = vjp(dfeats[:, i])
             grads.update(g)
-            dx = dx + dxi
+            dx = np.add(dxi, dx, out=dxi)  # the running sum, into this branch's own dx
         return dx, grads
 
     return GradPair(out, backward if training else None)

@@ -89,12 +89,12 @@ def test_writes_medians_wins_and_raw_values(fake_repo, tmp_path):
     assert (step["parent_median"], step["child_median"]) == (102.0, 92.0)
     assert step["parent_iqr"] == pytest.approx(1.0)
     assert (step["child_won"], step["parent_won"], step["ties"]) == (3, 0, 0)
-    assert step["outside_parent_iqr"] is True
+    assert step["outside_parent_iqr"] is True and step["gain_resolved"] is True
     rate = report["results"]["train_toy"]["metrics"]["images_per_s"]
-    assert rate["better"] == "higher" and rate["child_won"] == 3
+    assert rate["better"] == "higher" and rate["child_won"] == 3 and rate["gain_resolved"] is True
     rss = report["results"]["eval_resnet50"]["metrics"]["peak_rss_mb"]
     assert (rss["child_won"], rss["parent_won"], rss["ties"]) == (0, 0, 3)
-    assert rss["outside_parent_iqr"] is False
+    assert rss["outside_parent_iqr"] is False and rss["gain_resolved"] is False
 
     calls = (tmp_path / "calls.log").read_text().split("\n")[:-1]
     firsts = [line.split()[2] for line in calls[::2]]
@@ -126,3 +126,31 @@ def test_a_run_without_a_result_is_not_ok():
     assert tool.parse_run("Traceback ...\n", 1)["ok"] is False
     failed = json.dumps({"correct": True, "attempted": 4, "failed": 1, "metrics": {}})
     assert tool.parse_run(failed + "\n", 0)["ok"] is False
+
+
+def test_runs_ten_pairs_by_default_and_tags_each_verdict(fake_repo, tmp_path, capsys):
+    repo, parent, child = fake_repo
+    assert _load_tool().main([parent, child, "--number", "9", "--workloads", "train_toy", "--seconds", "1"]) == 0
+    report = json.loads((repo / "BENCH_9.json").read_text())
+    assert report["pairs"] == 10 and len((tmp_path / "calls.log").read_text().splitlines()) == 20
+    lines = {line.split()[1]: line for line in capsys.readouterr().out.splitlines() if line.startswith("train_toy")}
+    assert "gain resolved)" in lines["step_ms_p50"] and "unresolved)" in lines["peak_rss_mb"]
+
+
+def _pairs(parent, child):
+    """Ok runs of one metric, peak_rss_mb, pair by pair."""
+    run = lambda value: {"ok": True, "metrics": {"peak_rss_mb": value}}
+    return [{"parent": run(p), "child": run(c)} for p, c in zip(parent, child)]
+
+
+@pytest.mark.parametrize("child,resolved", [
+    ([73.0] * 10, True),
+    ([73.0] * 9 + [90.0], True),  # won 9 of 10
+    ([73.0] * 8 + [90.0] * 2, False),  # won 8 of 10
+    ([80.0 + 0.1 * i - 0.05 for i in range(10)], False),  # won 10 of 10, inside the parent's IQR
+    ([90.0] * 10, False),  # outside the IQR, the wrong way
+], ids=["all", "nine-tenths", "eight-tenths", "inside-iqr", "worse"])
+def test_a_gain_resolves_on_nine_tenths_of_the_pairs_and_a_move_past_the_iqr(child, resolved):
+    parent = [80.0 + 0.1 * i for i in range(10)]  # IQR 0.45
+    m = _load_tool().summarize(_pairs(parent, child), {"peak_rss_mb": "lower"})["peak_rss_mb"]
+    assert m["gain_resolved"] is resolved

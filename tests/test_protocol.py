@@ -4,6 +4,7 @@ factory of an example (layer, input shape), or EXEMPT to the reason it has none.
 
 import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -165,6 +166,53 @@ def test_wrong_shaped_dy_is_refused(make):
         for bad in _wrong_shapes(y.shape) if vjp else []:
             with pytest.raises(ValueError, match=re.escape(f"upstream gradient shape {bad} != {y.shape}")):
                 vjp(np.ones(bad))
+
+
+@over_registry
+def test_a_backward_runs_once(make):
+    """A dy refused for its shape does not use the backward up; the call
+    after it returns what a fresh forward's backward does, and another call
+    raises BackwardReusedError."""
+    layer, shape = make()
+    for training in (True, False):
+        y, vjp = _run(layer, shape, training)
+        if vjp is None:  # a composite in eval
+            continue
+        dy, bad = np.random.default_rng(0).standard_normal(y.shape), np.ones(_wrong_shapes(y.shape)[0])
+        with pytest.raises(ValueError):
+            vjp(bad)
+        dx, grads = vjp(dy)
+        fresh_dx, fresh_grads = _run(layer, shape, training)[1](dy)
+        assert np.array_equal(dx, fresh_dx) and grads.keys() == fresh_grads.keys()
+        assert all(np.array_equal(g, fresh_grads[k]) for k, g in grads.items())
+        for again in (dy, bad):
+            with pytest.raises(ops.BackwardReusedError):
+                vjp(again)
+
+
+@over_registry
+def test_a_backward_releases_what_the_forward_saved(monkeypatch, make):
+    """Once a training backward has returned, no array that a layer of the
+    tree output in the forward is alive, although the vjp still is: a run
+    backward keeps nothing its forward saved, at any depth."""
+    outputs = []
+
+    def recorded(layer, x, training, apply):
+        out = apply(layer, x, training)
+        y = tuple(out)[0]
+        a = y.data if isinstance(y, Tensor) else y  # the network's logits are an array
+        outputs.append(weakref.ref(a if a.base is None else a.base))
+        return out
+
+    for cls in _subclasses(ops.Layer):
+        if "apply" in vars(cls):
+            monkeypatch.setattr(cls, "apply", lambda layer, x, training, apply=vars(cls)["apply"]:
+                                recorded(layer, x, training, apply))
+    layer, shape = make()
+    y, vjp = _run(layer, shape, True)
+    vjp(np.ones(y.shape))
+    del y
+    assert outputs and [ref for ref in outputs if ref() is not None] == [] and callable(vjp)
 
 
 @pytest.mark.parametrize("phase", ["forward", "backward"])

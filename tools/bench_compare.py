@@ -1,6 +1,6 @@
 """Compare two revisions on perfbench's workloads, in alternated pairs.
 
-    python3 tools/bench_compare.py PARENT CHILD --number N [--workloads W ...] [--pairs 5] [--seconds 20]
+    python3 tools/bench_compare.py PARENT CHILD --number N [--workloads W ...] [--pairs 10] [--seconds 20]
 
 Run from inside the repository. Each revision is `git archive`d into its own
 temporary tree, and each run is that tree's own
@@ -15,13 +15,16 @@ From each run it reads the last line of standard output, one JSON object
 load, steal). It writes BENCH_<N>.json at the repository root, holding, per
 workload and metric, both medians, the parent's interquartile range,
 `outside_parent_iqr` (whether the medians differ by more than that range; a
-move inside it is unresolved, not a change, and the printed summary tags it
-so), the pairs each side won (a tie counts for neither) and every raw value;
-both SHAs; each tree's `src/` line count, `src_lines`, as
-`wc -l src/epsakit/*.py` totals it; the host context; and which workloads
-and how many pairs ran. Whether lower or higher is better comes
-from the child tree's BENCHMARK.json, or else from the metric's name (a
-rate, `*per_s`, is better higher).
+move inside it is unresolved, not a change), the pairs each side won (a tie
+counts for neither), `gain_resolved` and every raw value; both SHAs; each
+tree's `src/` line count, `src_lines`, as `wc -l src/epsakit/*.py` totals
+it; the host context; and which workloads and how many pairs ran. Whether
+lower or higher is better comes from the child tree's BENCHMARK.json, or
+else from the metric's name (a rate, `*per_s`, is better higher).
+
+A gain is resolved (`gain_resolved`) when the child won at least nine
+tenths of the pairs and its median is better than the parent's by more than
+the parent's IQR; the printed summary tags every other move unresolved.
 
 A run that exits non-zero, prints no result, reads `correct: false` or
 counts `failed > 0` is marked `"ok": false` in the file, and the tool then
@@ -106,8 +109,8 @@ def better_directions(tree: Path) -> dict[str, str]:
 
 def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
     """Per metric: medians, the parent's IQR and whether the medians differ
-    by more than it, pairs won and the raw values, over the pairs in which
-    both runs were ok."""
+    by more than it, pairs won, whether that makes a resolved gain, and the
+    raw values, over the pairs in which both runs were ok."""
     good = [p for p in pairs if p["parent"]["ok"] and p["child"]["ok"]]
     names = sorted({n for p in good for side in SIDES for n in p[side]["metrics"]})
     out = {}
@@ -124,13 +127,16 @@ def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
         q = (statistics.quantiles(raw["parent"], n=4, method="inclusive") if len(both) > 1
              else [parent_med] * 3)
         iqr = q[2] - q[0]
+        outside = abs(child_med - parent_med) > iqr
         out[name] = {
             "better": better,
             "parent_median": parent_med,
             "child_median": child_med,
             "change": child_med / parent_med - 1 if parent_med else None,
             "parent_iqr": iqr,
-            "outside_parent_iqr": abs(child_med - parent_med) > iqr,
+            "outside_parent_iqr": outside,
+            "gain_resolved": outside and sign * (child_med - parent_med) < 0
+                             and 10 * child_won >= 9 * len(both),
             "pairs": len(both),
             "child_won": child_won,
             "parent_won": parent_won,
@@ -196,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("child", help="child revision")
     ap.add_argument("--number", type=int, required=True, help="N of the BENCH_<N>.json to write")
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
@@ -210,9 +216,9 @@ def main(argv: list[str] | None = None) -> int:
         for name in ("step_ms_p50", "setup_s", "peak_rss_mb"):
             m = res["metrics"].get(name)
             if m:
-                tag = "" if m["outside_parent_iqr"] else ", unresolved"
+                tag = "gain resolved" if m["gain_resolved"] else "unresolved"
                 print(f"{w:<22s} {name:<12s} {m['parent_median']:>10.4g} -> {m['child_median']:>10.4g}"
-                      f"  (parent IQR {m['parent_iqr']:.4g}{tag})  child won {m['child_won']}/{m['pairs']}")
+                      f"  (parent IQR {m['parent_iqr']:.4g}, {tag})  child won {m['child_won']}/{m['pairs']}")
     if report["failed_runs"]:
         print(f"{len(report['failed_runs'])} run(s) failed or read incorrect; see {out}", file=sys.stderr)
         return 1
