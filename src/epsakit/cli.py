@@ -4,6 +4,13 @@ Exit codes: 0 success, 2 usage or configuration error (a model too big
 to build included), 3 numerical failure (a failed gradient check, a
 diverged training run, or NaN/Inf in a forward or backward pass). All
 subcommands are deterministic given flags and seed.
+
+A report is data: each subcommand hands `_emit` a plain value and its
+text form, and `_emit` alone writes it, so every JSON report has one form
+(two-space indent, sorted keys). `train-toy --output DIR` writes
+`history.csv` and `summary.json`; a diverged run writes both too, the
+steps it completed and a summary of `diverged: true`, `step`, `phase`,
+`layer` and `last_finite_loss`, and still exits 3.
 """
 
 from __future__ import annotations
@@ -22,7 +29,12 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(args, value, text: str | None = None, output: str | Path | None = None) -> None:
+    """Write one report: `value` in the one JSON form under `--format json`
+    or when the report has no text form, else `text`; to `output` with a
+    trailing newline, or to stdout."""
+    if text is None or args.format == "json":
+        text = json.dumps(value, indent=2, sort_keys=True)
     if output:
         Path(output).write_text(text + "\n")
     else:
@@ -38,7 +50,7 @@ def cmd_describe(args) -> int:
         print("describe: a model name or --config is required", file=sys.stderr)
         return EXIT_USAGE
     desc = models.describe(model, input_size=args.input_size)
-    _emit(desc.to_json() if args.format == "json" else desc.to_text(), args.output)
+    _emit(args, desc.to_dict(), desc.to_text(), args.output)
     return EXIT_OK
 
 
@@ -50,27 +62,18 @@ def cmd_complexity(args) -> int:
         reports.append(complexity.analyze(model, shape))
         del model
     if len(reports) == 1:
-        r = reports[0]
-        _emit(r.to_json() if args.format == "json" else r.to_text(), args.output)
+        _emit(args, reports[0].to_dict(), reports[0].to_text(), args.output)
     else:
         table = complexity.compare(reports)
-        text = json.dumps(table, indent=2, sort_keys=True) if args.format == "json" \
-            else complexity.compare_text(table)
-        _emit(text, args.output)
+        _emit(args, table, complexity.compare_text(table), args.output)
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
     results = gradcheck.run_suite(args.scope, seed=args.seed)
-    if args.format == "json":
-        payload = [
-            {"name": r.name, "max_rel_error": r.max_rel_error,
-             "tolerance": gradcheck.TOLERANCE, "passed": r.passed}
-            for r in results
-        ]
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
-    else:
-        _emit(gradcheck.report_text(results), args.output)
+    rows = [{"name": r.name, "max_rel_error": r.max_rel_error,
+             "tolerance": gradcheck.TOLERANCE, "passed": r.passed} for r in results]
+    _emit(args, rows, gradcheck.report_text(results), args.output)
     return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERIC
 
 
@@ -86,12 +89,14 @@ def cmd_train_toy(args) -> int:
         history = training.train(model, ds, cfg)
     except training.TrainingDiverged as err:
         print(f"training diverged: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
+        history = err.history
     if args.output:
         outdir = Path(args.output)
         (outdir / "history.csv").write_text(history.to_csv())
-        (outdir / "summary.json").write_text(history.summary_json() + "\n")
-    print(history.summary_json())
+        _emit(args, history.summary, output=outdir / "summary.json")
+    if history.summary["diverged"]:
+        return EXIT_NUMERIC
+    _emit(args, history.summary)
     return EXIT_OK
 
 
@@ -113,17 +118,14 @@ def cmd_ablation(args) -> int:
             "default": list(cfg.groups) == list(models.SMALL_GROUPS),
         })
         del model
-    if args.format == "json":
-        _emit(json.dumps({"rows": rows}, indent=2, sort_keys=True), args.output)
-    else:
-        lines = [f"{'kernels':<14s} {'groups':<16s} {'params(M)':>10s} {'flops(G)':>9s} {'default':>8s}"]
-        for r in rows:
-            lines.append(
-                f"{str(tuple(r['kernels'])):<14s} {str(tuple(r['groups'])):<16s} "
-                f"{r['params_millions']:>10.2f} {r['flops_giga']:>9.2f} "
-                f"{'*' if r['default'] else '':>8s}"
-            )
-        _emit("\n".join(lines), args.output)
+    lines = [f"{'kernels':<14s} {'groups':<16s} {'params(M)':>10s} {'flops(G)':>9s} {'default':>8s}"]
+    for r in rows:
+        lines.append(
+            f"{str(tuple(r['kernels'])):<14s} {str(tuple(r['groups'])):<16s} "
+            f"{r['params_millions']:>10.2f} {r['flops_giga']:>9.2f} "
+            f"{'*' if r['default'] else '':>8s}"
+        )
+    _emit(args, {"rows": rows}, "\n".join(lines), args.output)
     return EXIT_OK
 
 

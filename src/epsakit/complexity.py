@@ -10,7 +10,6 @@ standard 50/101-layer baselines, so no alternative convention is needed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -82,9 +81,6 @@ class ComplexityReport:
                 for r in self.per_layer
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         lines = [

@@ -21,8 +21,7 @@ biases, and reweights by the same product rule, `ops._rescale`.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -425,12 +424,8 @@ class ModelDescription:
     rows: list[dict]
     config: dict
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"name": self.name, "input_size": self.input_size,
-             "rows": self.rows, "config": self.config},
-            indent=2, sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = [f"{self.name} @ {self.input_size}x{self.input_size}"]

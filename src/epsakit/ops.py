@@ -489,6 +489,8 @@ class ScaleSoftmax(Layer):
             raise ValueError(f"scales must be >= 1, got {self.scales}")
 
     def apply(self, x: Tensor, training: bool) -> GradPair:
+        if x.n % self.scales:
+            raise ValueError(f"batch {x.n} is not a multiple of scales {self.scales}")
         z = x.data.reshape(x.n // self.scales, self.scales, *x.shape[1:])
         e = np.exp(z - z.max(axis=1, keepdims=True))
         att = e / e.sum(axis=1, keepdims=True)

@@ -15,7 +15,6 @@ this costs nothing.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import zipfile
@@ -92,15 +91,22 @@ class TrainingDiverged(RuntimeError):
     for the loss. `last_finite_loss` is the last finite loss the run saw,
     None if it failed before its first. In the forward and backward phases
     a NonFiniteError is the __cause__; a loss or update failure has none.
+
+    `history` is the run's record up to the failure: the steps and epochs
+    it completed, and a summary of `diverged: true` and these four fields.
     """
 
-    def __init__(self, step: int, phase: str, layer: str | None, last_finite_loss: float | None):
+    def __init__(self, step: int, phase: str, layer: str | None, last_finite_loss: float | None,
+                 history: TrainingHistory):
         where = f" in {layer}" if layer else ""
         super().__init__(
             f"non-finite {phase} at step {step}{where} (last finite loss {last_finite_loss})"
         )
         self.step, self.phase, self.layer = step, phase, layer
         self.last_finite_loss = last_finite_loss
+        history.summary = {"diverged": True, "step": step, "phase": phase, "layer": layer,
+                           "last_finite_loss": last_finite_loss}
+        self.history = history
 
 
 def label_smoothed_ce(logits: np.ndarray, labels: np.ndarray, alpha: float):
@@ -200,9 +206,6 @@ class TrainingHistory:
             )
         return "\n".join(lines) + "\n"
 
-    def summary_json(self) -> str:
-        return json.dumps(self.summary, indent=2, sort_keys=True)
-
 
 def evaluate(model: Model, dataset: ToyDataset, alpha: float = 0.0):
     """Eval-mode loss and accuracy over the whole dataset."""
@@ -248,17 +251,17 @@ def train(model: Model, dataset: ToyDataset, cfg: TrainConfig) -> TrainingHistor
                     logits, vjp = model.net.apply(xb, training=True)
                     loss, dlogits = label_smoothed_ce(logits, yb, cfg.label_smoothing)
                     if not np.isfinite(loss):
-                        raise TrainingDiverged(step, "loss", None, last_loss)
+                        raise TrainingDiverged(step, "loss", None, last_loss, history)
                     last_loss = loss
                     _, grads = vjp(dlogits)
                 except NonFiniteError as err:
-                    raise TrainingDiverged(step, err.phase, err.layer, last_loss) from err
+                    raise TrainingDiverged(step, err.phase, err.layer, last_loss, history) from err
                 params = model.net.params()
                 new_params, state = sgd_step(params, grads, state, cfg, lr=lr, no_decay=no_decay)
                 try:
                     model.net.assign(new_params)
                 except NonFiniteError as err:
-                    raise TrainingDiverged(step, "update", err.layer, last_loss) from None
+                    raise TrainingDiverged(step, "update", err.layer, last_loss, history) from None
                 hits = int((logits.argmax(axis=1) == yb).sum())
                 epoch_hits += hits
                 epoch_losses.append(loss)
@@ -276,7 +279,7 @@ def train(model: Model, dataset: ToyDataset, cfg: TrainConfig) -> TrainingHistor
         try:
             final_loss, final_acc = evaluate(model, dataset, cfg.label_smoothing)
         except NonFiniteError as err:
-            raise TrainingDiverged(step, err.phase, err.layer, last_loss) from err
+            raise TrainingDiverged(step, err.phase, err.layer, last_loss, history) from err
     initial_loss = history.steps[0]["loss"]
     mean_losses = [e["mean_loss"] for e in history.epochs]
     history.summary = {

@@ -1,11 +1,12 @@
 """CLI surface: outputs, schemas, determinism, exit codes."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from epsakit import models, ops, training
+from epsakit import complexity, models, ops, training
 from epsakit.cli import main
 from epsakit.gradcheck import TOLERANCE, report_text
 from epsakit.models import build_from_config, config_to_spec
@@ -17,6 +18,31 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def one_form(value) -> str:
+    """A report's value in the one JSON form, with print's newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def spy(monkeypatch, module, name) -> list:
+    """Wrap module.name so that each value it returns is appended to the list."""
+    real, values = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        values.append(real(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return values
+
+
+TINY_CONFIG = {
+    "name": "custom", "num_classes": 7, "stem_channels": 32,
+    "stages": [{"repeats": 1, "mid_channels": 32, "kind": "epsa", "out_channels": 128,
+                "psa": {"scales": 4, "kernels": [3, 5, 7, 9], "groups": [1, 4, 8, 8],
+                        "se_reduction": 16}}],
+}
+
+
 class TestDescribe:
     def test_small_text(self, capsys):
         code, out, _ = run(capsys, "describe", "epsanet50_small")
@@ -25,9 +51,11 @@ class TestDescribe:
         assert "[1x1, 64; PSA, 64; 1x1, 256] x3" in out
         assert "1000-d fc" in out
 
-    def test_json_schema_valid(self, capsys):
+    def test_json_schema_valid(self, capsys, monkeypatch):
+        descs = spy(monkeypatch, models, "describe")
         code, out, _ = run(capsys, "describe", "resnet50", "--format", "json")
         assert code == 0
+        assert out == one_form(descs[0].to_dict())
         payload = json.loads(out)
         spec = config_to_spec(payload["config"])  # must parse against the schema
         assert spec.name == "resnet50"
@@ -44,15 +72,8 @@ class TestDescribe:
         assert "a model name or --config is required" in err
 
     def test_config_file(self, capsys, tmp_path):
-        cfg = {
-            "name": "custom", "num_classes": 7, "stem_channels": 32,
-            "stages": [{"repeats": 1, "mid_channels": 32, "kind": "epsa",
-                        "out_channels": 128,
-                        "psa": {"scales": 4, "kernels": [3, 5, 7, 9],
-                                "groups": [1, 4, 8, 8], "se_reduction": 16}}],
-        }
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(TINY_CONFIG))
         code, out, _ = run(capsys, "describe", "--config", str(path), "--format", "json")
         assert code == 0
         assert json.loads(out)["config"]["num_classes"] == 7
@@ -82,13 +103,7 @@ class TestDescribe:
             "stages_number", "psa_kernels_number", "psa_list", "repeats_float", "unknown_field",
             "unknown_stage_field", "unknown_psa_field", "psa_on_resnet", "se_reduction_on_epsa"])
     def test_malformed_config_exit_2(self, capsys, tmp_path, edit):
-        cfg = {
-            "name": "custom", "num_classes": 7, "stem_channels": 32,
-            "stages": [{"repeats": 1, "mid_channels": 32, "kind": "epsa",
-                        "out_channels": 128,
-                        "psa": {"scales": 4, "kernels": [3, 5, 7, 9],
-                                "groups": [1, 4, 8, 8], "se_reduction": 16}}],
-        }
+        cfg = copy.deepcopy(TINY_CONFIG)
         if edit is None:
             cfg = [cfg]
         else:
@@ -115,9 +130,11 @@ class TestDescribe:
 
 
 class TestComplexity:
-    def test_single_model_values(self, capsys):
+    def test_single_model_values(self, capsys, monkeypatch):
+        reports = spy(monkeypatch, complexity, "analyze")
         code, out, _ = run(capsys, "complexity", "epsanet50_small", "--format", "json")
         assert code == 0
+        assert out == one_form(reports[0].to_dict())
         payload = json.loads(out)
         assert payload["params_millions"] == 22.56
         assert payload["total_params"] == 22_561_715
@@ -127,6 +144,16 @@ class TestComplexity:
         assert code == 0
         assert out.count("\n") >= 4
         assert "epsanet50_large" in out and "baseline: resnet50" in out
+
+    def test_comparison_json_is_the_compare_table(self, capsys, monkeypatch):
+        """The form is under test, not the numbers: tiny models stand in."""
+        monkeypatch.setattr(models, "build_model",
+                            lambda name: build_from_config({**TINY_CONFIG, "name": name}))
+        tables = spy(monkeypatch, complexity, "compare")
+        code, out, _ = run(capsys, "complexity", "resnet50", "epsanet50_small", "--format", "json")
+        assert code == 0
+        assert out == one_form(tables[0])
+        assert [r["model_name"] for r in json.loads(out)["rows"]] == ["resnet50", "epsanet50_small"]
 
     def test_input_size_scaling(self, capsys):
         _, out224, _ = run(capsys, "complexity", "epsanet50_small", "--format", "json")
@@ -224,6 +251,33 @@ class TestTrainToy:
         assert code == 3
         assert "diverged" in err
 
+    def test_divergence_leaves_its_record(self, capsys, tmp_path, monkeypatch):
+        """The steps before the failure go to history.csv and the failure's
+        fields to summary.json, the same bytes on every run."""
+        errors = []
+
+        def train(*args):
+            try:
+                return real(*args)
+            except training.TrainingDiverged as err:
+                errors.append(err)
+                raise
+
+        real = training.train
+        monkeypatch.setattr(training, "train", train)
+        runs = []
+        for name in ("a", "b"):
+            argv = ("train-toy", "--lr", "1e12", "--epochs", "2", "--output", str(tmp_path / name))
+            assert run(capsys, *argv) == (3, "", f"training diverged: {errors[-1]}\n")
+            runs.append([(tmp_path / name / f).read_bytes() for f in ("history.csv", "summary.json")])
+        assert runs[0] == runs[1]
+        err = errors[0]
+        assert runs[0][0].decode() == err.history.to_csv()
+        assert runs[0][0].count(b"\n") == 1 + err.step > 1  # header, then each completed step
+        assert json.loads(runs[0][1]) == {
+            "diverged": True, "step": err.step, "phase": err.phase, "layer": err.layer,
+            "last_finite_loss": err.last_finite_loss}
+
     def test_non_finite_update_exit_3(self, capsys, monkeypatch):
         real = training.sgd_step
 
@@ -239,9 +293,16 @@ class TestTrainToy:
 
 
 class TestAblation:
-    def test_rows_and_flags(self, capsys):
+    def test_rows_and_flags(self, capsys, monkeypatch):
+        reports = spy(monkeypatch, complexity, "analyze")
         code, out, _ = run(capsys, "ablation", "--format", "json")
         assert code == 0
+        assert out == one_form({"rows": [
+            {"kernels": list(cfg.kernels), "groups": list(cfg.groups),
+             "params": r.total_params, "params_millions": r.params_m,
+             "flops": r.total_flops, "flops_giga": r.flops_g, "forward_64px_finite": True,
+             "default": cfg.groups == models.SMALL_GROUPS}
+            for cfg, r in zip(models.ablation_configs(), reports, strict=True)]})
         rows = json.loads(out)["rows"]
         assert len(rows) == 3
         assert all(r["kernels"] == [3, 5, 7, 9] for r in rows)
@@ -285,6 +346,17 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["name"] == "resnet50"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_output_file_holds_the_bytes_stdout_gets(self, capsys, tmp_path, fmt):
+        config = tmp_path / "model.json"
+        config.write_text(json.dumps(TINY_CONFIG))
+        argv = ("describe", "--config", str(config), "--format", fmt)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.endswith("\n")
+        path = tmp_path / "desc.out"
+        assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+        assert path.read_text() == out
 
 
 @pytest.mark.parametrize("argv", [

@@ -186,7 +186,7 @@ class TestDescribe:
     def test_json_config_roundtrip(self):
         model = build_model("epsanet50_large")
         desc = describe(model)
-        payload = json.loads(desc.to_json())
+        payload = json.loads(json.dumps(desc.to_dict()))
         spec = config_to_spec(payload["config"])
         assert spec == model.spec
         assert spec_to_config(spec) == payload["config"]

@@ -340,6 +340,12 @@ class TestScaleSoftmax:
         att, _ = ops.ScaleSoftmax(2).apply(Tensor(z), False)
         np.testing.assert_allclose(att.data.ravel(), [0.5, 0.5, 0.25, 0.75], atol=1e-15)
 
+    @pytest.mark.parametrize("batch", [6, 2])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_refuses_a_batch_that_is_not_a_multiple_of_scales(self, batch, training):
+        with pytest.raises(ValueError, match=f"^batch {batch} is not a multiple of scales 4$"):
+            ops.ScaleSoftmax(4).apply(Tensor(np.zeros((batch, 3, 1, 1))), training)
+
 
 class TestBatchNorm:
     def test_eval_identity_configuration(self, rng):
